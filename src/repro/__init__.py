@@ -87,7 +87,6 @@ from repro.sim.config import (
     TinySpec,
 )
 from repro.sim.engine import TraceEngine, run_trace
-from repro.sim.fastpath import fast_lane_from_env
 from repro.sim.results import RunResult
 from repro.sim.stats import SimStats
 from repro.sim.system import System
@@ -97,7 +96,6 @@ from repro.telemetry import (
     RingBufferSink,
     TraceEvent,
     Tracer,
-    install_tracer,
     merge_snapshots,
     merge_worker_traces,
     metrics_from_env,
@@ -179,13 +177,11 @@ __all__ = [
     "clear_trace_cache",
     "collect_points",
     "diff_trace",
-    "fast_lane_from_env",
     "fuzz_run",
     "generate_streams",
     "graceful_scope",
     "guard_scope",
     "harness",
-    "install_tracer",
     "load_capture",
     "load_streams",
     "merge_snapshots",

@@ -146,7 +146,7 @@ def run_app(
                     streams,
                     auditor=auditor,
                     recovery=recovery,
-                    tracer=tracer,
+                    observer=tracer,
                 )
         finally:
             if tracer is not None:

@@ -25,25 +25,11 @@ from repro.interconnect.mesh import Mesh2D
 from repro.interconnect.traffic import MessageClass, TrafficMeter
 from repro.memory.dram import DramModel
 from repro.core.stra import stra_category
-from repro.resilience.recorder import NullRecorder
 from repro.sim.config import SystemConfig
-from repro.telemetry import NULL_TRACER
 from repro.types import AccessKind, LLCState, PrivateState
 
-
-class NullCoverage:
-    """Disabled transition-coverage sink (the default).
-
-    The verify subsystem (:mod:`repro.verify.coverage`) swaps in a real
-    collector; everywhere else the ``coverage.enabled`` guard keeps the
-    hooks free. Defined here rather than in ``repro.verify`` so the
-    coherence layer never imports upward.
-    """
-
-    enabled = False
-
-    def note(self, transition: str) -> None:  # pragma: no cover - never called
-        pass
+#: ``inval:<prior>->I`` kind per invalidated private state.
+_INVAL_KIND = {state: f"inval:{state.value}->I" for state in PrivateState}
 
 
 class BaseHome:
@@ -56,9 +42,7 @@ class BaseHome:
         "cores",
         "stats",
         "traffic",
-        "recorder",
-        "coverage",
-        "tracer",
+        "observer",
         "num_banks",
         "banks",
         "_hit_latency_data",
@@ -79,15 +63,10 @@ class BaseHome:
         self.cores = cores
         self.stats = stats
         self.traffic: TrafficMeter = stats.traffic
-        #: Transaction flight recorder; a no-op unless online auditing is
-        #: enabled (the auditor swaps in a real FlightRecorder).
-        self.recorder = NullRecorder()
-        #: Transition-coverage sink; a no-op unless a conformance run
-        #: installs a real CoverageMap (see repro.verify.coverage).
-        self.coverage = NullCoverage()
-        #: Structured trace sink; the shared disabled tracer unless a
-        #: traced run installs a real one (see repro.telemetry).
-        self.tracer = NULL_TRACER
+        #: Where every protocol transition is reported (one row of
+        #: repro.telemetry.TRANSITIONS per kind): None unless a tracer,
+        #: the auditor's flight recorder or a coverage map is attached.
+        self.observer = None
         self.num_banks = config.num_banks
         # Precomputed LLC hit latencies; these feed every _two_hop /
         # _three_hop call on the transaction critical path.
@@ -194,8 +173,6 @@ class BaseHome:
         for holder in coh.holders():
             if holder == except_core:
                 continue
-            if self.recorder.enabled:
-                self.recorder.record(addr, "invalidate", core=holder)
             prior = self.cores[holder].invalidate(addr)
             if prior is PrivateState.INVALID:
                 # A recorded holder without a copy: the tracking entry is
@@ -208,13 +185,8 @@ class BaseHome:
                     addr=addr,
                     cores=(holder,),
                 )
-            if self.coverage.enabled:
-                self.coverage.note(f"inval:{prior.value}->I")
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    "inval", cycle=now, core=holder, addr=addr,
-                    prior=prior.value,
-                )
+            if self.observer is not None:
+                self.observer.emit(_INVAL_KIND[prior], cycle=now, core=holder, addr=addr)
             self.traffic.control(MessageClass.COHERENCE)  # invalidation
             if prior is PrivateState.MODIFIED:
                 had_dirty = True
@@ -251,13 +223,13 @@ class BaseHome:
 
     def _flush_residency(self, line: LLCLine) -> None:
         if not line.is_spill:
-            if self.tracer.enabled and line.fwd_reads > 0:
+            if self.observer is not None and line.fwd_reads > 0:
                 ratio = (
                     line.fwd_reads / line.total_reads
                     if line.total_reads
                     else 1.0
                 )
-                self.tracer.emit(
+                self.observer.emit(
                     "stra:classify",
                     addr=line.tag,
                     category=stra_category(ratio),

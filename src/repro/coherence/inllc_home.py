@@ -53,8 +53,8 @@ class InLLCHome(BaseHome):
 
     def _mark_tracked(self, line: LLCLine, bank) -> None:
         """Move a valid line into the corrupted (tracking) state."""
-        if self.coverage.enabled:
-            self.coverage.note("llc:mark_tracked")
+        if self.observer is not None:
+            self.observer.emit("llc:mark_tracked", addr=line.tag)
         if self.tag_extended:
             return
         line.underlying_dirty = line.underlying_dirty or line.state is LLCState.DIRTY
@@ -63,8 +63,8 @@ class InLLCHome(BaseHome):
 
     def _restore_line(self, line: LLCLine, bank) -> None:
         """Return a line to the unowned valid state (last copy gone)."""
-        if self.coverage.enabled:
-            self.coverage.note("llc:restore")
+        if self.observer is not None:
+            self.observer.emit("llc:restore", addr=line.tag)
         line.coh = None
         line.stra = None
         if self.tag_extended:
@@ -83,12 +83,10 @@ class InLLCHome(BaseHome):
     def _handle_llc_victim(self, victim: LLCLine, now: int) -> None:
         self._flush_residency(victim)
         if victim.coh is not None and not victim.coh.is_idle:
-            if self.coverage.enabled:
-                self.coverage.note("llc:evict_tracked")
             self._evict_tracked_victim(victim, now)
         elif victim.state is LLCState.DIRTY or victim.underlying_dirty:
-            if self.coverage.enabled:
-                self.coverage.note("llc:evict_dirty")
+            if self.observer is not None:
+                self.observer.emit("llc:evict_dirty", cycle=now, addr=victim.tag)
             self._dram_write(victim.tag, now)
 
     def _evict_tracked_victim(self, victim: LLCLine, now: int) -> None:
@@ -97,8 +95,8 @@ class InLLCHome(BaseHome):
         coh = victim.coh
         dirty = victim.underlying_dirty
         holders = coh.holders()
-        if self.recorder.enabled:
-            self.recorder.record(addr, "back_invalidate", detail=f"holders={holders}")
+        if self.observer is not None:
+            self.observer.emit("llc:evict_tracked", cycle=now, addr=addr, holders=holders)
         had_modified = False
         for holder in holders:
             prior = self.cores[holder].invalidate(addr)
@@ -132,10 +130,6 @@ class InLLCHome(BaseHome):
         out = AccessOutcome()
         home = self.bank_of(addr)
         bank = self.banks[home]
-        if self.recorder.enabled:
-            self.recorder.record(
-                addr, "upgrade" if upgrade else kind.name.lower(), core=core
-            )
         self.traffic.control(MessageClass.PROCESSOR)
         line, _ = bank.lookup(addr)
 
@@ -261,8 +255,8 @@ class InLLCHome(BaseHome):
                 out.latency = self._two_hop(core, home)
                 self.traffic.data(MessageClass.PROCESSOR)
             else:
-                if self.coverage.enabled:
-                    self.coverage.note("llc:lengthened_read")
+                if self.observer is not None:
+                    self.observer.emit("llc:lengthened_read", cycle=now, core=core, addr=addr)
                 forwarder = self._closest_sharer(coh, home)
                 out.hops = 3
                 out.lengthened = True
@@ -307,8 +301,6 @@ class InLLCHome(BaseHome):
     def handle_private_eviction(
         self, core: int, addr: int, state: PrivateState, now: int
     ) -> None:
-        if self.recorder.enabled:
-            self.recorder.record(addr, "evict_notice", core=core, detail=state.name)
         bank = self.banks[self.bank_of(addr)]
         line, _ = bank.lookup(addr, touch=False)
         if line is None or line.coh is None:
@@ -470,10 +462,6 @@ class TinyHome(InLLCHome):
         out = AccessOutcome()
         home = self.bank_of(addr)
         bank = self.banks[home]
-        if self.recorder.enabled:
-            self.recorder.record(
-                addr, "upgrade" if upgrade else kind.name.lower(), core=core
-            )
         self.traffic.control(MessageClass.PROCESSOR)
         entry = self.tiny.lookup(addr, now)
         line, spill = bank.lookup(addr)
@@ -496,8 +484,8 @@ class TinyHome(InLLCHome):
                 self._record_stra(line, shared_read=False)
                 self._serve_upgrade(core, addr, line, bank, home, now, out)
         elif entry is not None:
-            if self.coverage.enabled:
-                self.coverage.note("tiny:hit")
+            if self.observer is not None:
+                self.observer.emit("tiny:hit", cycle=now, core=core, addr=addr)
             shared_read = self._serve_via_tracker(
                 core, addr, kind, entry.coh, entry.stra, line, bank, home, now, out,
                 via_spill=False,
@@ -505,8 +493,8 @@ class TinyHome(InLLCHome):
             if entry.coh.is_idle:
                 self.tiny.remove(addr)
         elif spill is not None:
-            if self.coverage.enabled:
-                self.coverage.note("tiny:spill_hit")
+            if self.observer is not None:
+                self.observer.emit("tiny:spill_hit", cycle=now, core=core, addr=addr)
             shared_read = self._serve_via_tracker(
                 core, addr, kind, spill.coh, spill.stra, line, bank, home, now, out,
                 via_spill=True,
@@ -640,8 +628,8 @@ class TinyHome(InLLCHome):
             else:
                 # Tracked in the tiny directory but the LLC data line was
                 # evicted: forward to a sharer and refill.
-                if self.coverage.enabled:
-                    self.coverage.note("tiny:fwd_refill")
+                if self.observer is not None:
+                    self.observer.emit("tiny:fwd_refill", cycle=now, core=core, addr=addr)
                 forwarder = self._closest_sharer(coh, home)
                 out.hops = 3
                 out.latency = self._three_hop(core, home, forwarder)
@@ -679,10 +667,8 @@ class TinyHome(InLLCHome):
     def _unspill_into_line(self, spill, line, bank) -> None:
         """Invalidate a spilled entry, moving its info into the data block
         (which becomes corrupted exclusive)."""
-        if self.coverage.enabled:
-            self.coverage.note("tiny:unspill")
-        if self.tracer.enabled:
-            self.tracer.emit("tiny:unspill", addr=spill.tag)
+        if self.observer is not None:
+            self.observer.emit("tiny:unspill", addr=spill.tag)
         coh, stra = spill.coh, spill.stra
         bank.remove(spill)
         if line is None:
@@ -703,24 +689,19 @@ class TinyHome(InLLCHome):
         category = stra.category()
         entry, victim = self.tiny.try_allocate(addr, category, coh, stra, now)
         if entry is not None:
-            if self.coverage.enabled:
-                self.coverage.note("tiny:alloc")
-            if self.tracer.enabled:
-                self.tracer.emit("tiny:alloc", cycle=now, addr=addr)
+            if self.observer is not None:
+                self.observer.emit("tiny:alloc", cycle=now, addr=addr)
             if victim is not None:
-                if self.coverage.enabled:
-                    self.coverage.note("tiny:evict")
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        "tiny:evict", cycle=now, addr=victim.addr
+                if self.observer is not None:
+                    self.observer.emit(
+                        "tiny:evict", cycle=now, addr=victim.addr,
+                        holders=victim.coh.holders(),
                     )
                 self._rehome_victim(victim, now)
             self._detach_tracking(line, bank)
             return
-        if self.coverage.enabled:
-            self.coverage.note("tiny:decline")
-        if self.tracer.enabled:
-            self.tracer.emit("tiny:decline", cycle=now, addr=addr)
+        if self.observer is not None:
+            self.observer.emit("tiny:decline", cycle=now, addr=addr)
         if not self.spill_enabled:
             return
         if not self.spill_policies[home].allows(category):
@@ -735,10 +716,8 @@ class TinyHome(InLLCHome):
                 self._handle_llc_victim(svictim, now)
                 return
             self._handle_llc_victim(svictim, now)
-        if self.coverage.enabled:
-            self.coverage.note("tiny:spill")
-        if self.tracer.enabled:
-            self.tracer.emit("tiny:spill", cycle=now, addr=addr)
+        if self.observer is not None:
+            self.observer.emit("tiny:spill", cycle=now, addr=addr)
         self.stats.spills += 1
         self._detach_tracking(line, bank)
 
@@ -762,8 +741,6 @@ class TinyHome(InLLCHome):
         coh, stra = victim_entry.coh, victim_entry.stra
         if coh.is_idle:
             return
-        if self.recorder.enabled:
-            self.recorder.record(vaddr, "tiny_rehome", detail=f"holders={coh.holders()}")
         bank = self.banks[self.bank_of(vaddr)]
         vline, vspill = bank.lookup(vaddr, touch=False)
         if vspill is not None:
@@ -785,25 +762,21 @@ class TinyHome(InLLCHome):
                         return
                     if svictim is not None:
                         self._handle_llc_victim(svictim, now)
-                    if self.coverage.enabled:
-                        self.coverage.note("tiny:rehome_spill")
+                    if self.observer is not None:
+                        self.observer.emit("tiny:rehome_spill", cycle=now, addr=vaddr)
                     self.stats.spills += 1
                     return
         # Corrupt the victim's data line with the transferred state.
-        if self.coverage.enabled:
-            self.coverage.note("tiny:rehome_corrupt")
+        if self.observer is not None:
+            self.observer.emit("tiny:rehome_corrupt", cycle=now, addr=vaddr)
         vline.coh = coh
         vline.stra = stra
         self._mark_tracked(vline, bank)
 
     def _back_invalidate_untracked(self, addr, coh, now) -> None:
-        if self.recorder.enabled:
-            self.recorder.record(addr, "back_invalidate", detail=f"holders={coh.holders()}")
-        if self.coverage.enabled:
-            self.coverage.note("llc:back_invalidate")
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "back_inval", cycle=now, addr=addr, holders=coh.holders()
+        if self.observer is not None:
+            self.observer.emit(
+                "llc:back_invalidate", cycle=now, addr=addr, holders=coh.holders()
             )
         had_dirty = False
         for holder in coh.holders():
@@ -830,8 +803,8 @@ class TinyHome(InLLCHome):
             # Transfer the tracking back into the companion data block.
             b_line, _ = bank.lookup(victim.tag, touch=False)
             if b_line is not None and b_line.coh is None:
-                if self.coverage.enabled:
-                    self.coverage.note("tiny:recall")
+                if self.observer is not None:
+                    self.observer.emit("tiny:recall", cycle=now, addr=victim.tag)
                 b_line.coh = victim.coh
                 b_line.stra = victim.stra
                 self._mark_tracked(b_line, bank)
@@ -856,8 +829,6 @@ class TinyHome(InLLCHome):
     def handle_private_eviction(
         self, core: int, addr: int, state: PrivateState, now: int
     ) -> None:
-        if self.recorder.enabled:
-            self.recorder.record(addr, "evict_notice", core=core, detail=state.name)
         entry = self.tiny.find_quiet(addr)
         bank = self.banks[self.bank_of(addr)]
         if entry is not None:

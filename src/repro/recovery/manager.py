@@ -197,9 +197,8 @@ class RecoveryManager:
                 verified=verified,
             )
         )
-        tracer = getattr(system.home, "tracer", None)
-        if tracer is not None and tracer.enabled:
-            tracer.emit(
+        if system.home.observer is not None:
+            system.home.observer.emit(
                 "recovery:repair", addr=addr, action=action, verified=verified
             )
 

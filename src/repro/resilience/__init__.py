@@ -31,7 +31,7 @@ from repro.resilience.faults import (
     plan_from_env,
     tracking_location,
 )
-from repro.resilience.recorder import FlightRecorder, NullRecorder, TransactionRecord
+from repro.resilience.recorder import FlightRecorder, TransactionRecord
 
 __all__ = [
     "DEFAULT_AUDIT_INTERVAL",
@@ -41,7 +41,6 @@ __all__ = [
     "FaultPlan",
     "FlightRecorder",
     "InjectedFault",
-    "NullRecorder",
     "ProtocolAuditor",
     "TransactionRecord",
     "auditor_from_env",

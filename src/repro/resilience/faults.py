@@ -335,10 +335,11 @@ class FaultInjector:
     def _note(self, kind: FaultKind, addr: int, core: "int | None", location: str) -> None:
         index = self.system.access_index if self.system is not None else 0
         self.injected.append(InjectedFault(kind, addr, core, index, location))
-        if self.system is not None:
-            recorder = self.system.home.recorder
-            if recorder.enabled:
-                recorder.record(addr, f"fault:{kind.value}", core=core, detail=location)
+        observer = self.system.home.observer if self.system is not None else None
+        if observer is not None:
+            observer.emit(
+                "fault:inject", core=core, addr=addr, fault=kind.value, location=location
+            )
 
 
 def plan_from_env() -> "FaultPlan | None":

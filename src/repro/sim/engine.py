@@ -37,12 +37,14 @@ stride samples the :mod:`repro.guard` resource watchdog, so an armed
 :class:`~repro.errors.BudgetExceeded` within one stride of the limit
 being crossed — in any lane, on any platform, in any worker.
 
-The engine has two lanes over the same protocol code (see
-:mod:`repro.sim.fastpath`): unobserved runs take the fast lane, whose
-private-hit short circuit and batched counters produce statistics
-bit-identical to the reference lane; any observer (auditor, oracle,
-recovery, tracer, fault injector) or ``REPRO_FAST=off`` selects the
-reference lane.
+The engine has two lanes over the same protocol code. Unobserved runs
+take the fast lane, which inlines the private-hit short circuit into
+the trace loop and batches its counters; its statistics are
+bit-identical to the reference lane's (pinned by
+``tests/test_fastpath.py`` across all five schemes). Anything that must
+see individual accesses — an auditor, oracle, recovery manager, fault
+injector, or an observer in the home's slot — selects the reference
+lane, as does ``fast_path=False``.
 """
 
 from __future__ import annotations
@@ -52,10 +54,9 @@ import heapq
 from repro.errors import InvariantViolation, ProtocolError, TraceError
 from repro.guard.watchdog import check_watchdog
 from repro.sim.deadline import CHECK_STRIDE, check_deadline
-from repro.sim.fastpath import fast_lane_from_env
 from repro.sim.stats import SimStats
 from repro.sim.system import System
-from repro.telemetry import NULL_TRACER, install_tracer
+from repro.telemetry import fan_out
 from repro.types import Access, AccessKind, PrivateState
 
 
@@ -78,8 +79,8 @@ class TraceEngine:
         auditor=None,
         oracle=None,
         recovery=None,
-        tracer=None,
-        fast_path: "bool | None" = None,
+        observer=None,
+        fast_path: bool = True,
     ) -> None:
         if len(streams) > system.config.num_cores:
             raise ValueError(
@@ -93,46 +94,45 @@ class TraceEngine:
         self.auditor = auditor
         self.oracle = oracle
         self.recovery = recovery
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Fast-lane preference; None resolves from ``REPRO_FAST``.
-        self.fast_path = (
-            fast_lane_from_env() if fast_path is None else fast_path
-        )
+        #: Attached to the home's observer slot when the run starts.
+        self.observer = observer
+        self.fast_path = fast_path
 
     def fast_lane_engaged(self) -> bool:
         """True when this run will execute on the fast lane.
 
         The fast lane only engages for *unobserved* runs: no auditor, no
-        value oracle, no recovery manager, no enabled tracer, and no
-        fault injector — each of those needs to see every individual
-        access, which the private-hit short circuit skips. Observed runs
-        silently fall back to the reference lane, so correctness tooling
-        never has to know the fast lane exists.
+        value oracle, no recovery manager, no observer (passed here or
+        already in the home's slot), and no fault injector — each of
+        those needs to see every individual access, which the private-hit
+        short circuit skips. Observed runs silently fall back to the
+        reference lane, so correctness tooling never has to know the fast
+        lane exists.
         """
         return (
             self.fast_path
             and self.auditor is None
             and self.oracle is None
             and self.recovery is None
-            and not self.tracer.enabled
+            and self.observer is None
+            and self.system.home.observer is None
             and self.system.fault_injector is None
         )
 
     def _audit(self, system) -> None:
         """One audit window, routed through recovery when enabled."""
+        observer = system.home.observer
         try:
             if self.recovery is not None:
                 self.recovery.audit(self.auditor, system)
             else:
                 self.auditor.audit(system)
         except InvariantViolation as err:
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    "audit:violation", addr=err.addr, error=err.message
-                )
+            if observer is not None:
+                observer.emit("audit:violation", addr=err.addr, error=err.message)
             raise
-        if self.tracer.enabled:
-            self.tracer.emit("audit:window", audits=self.auditor.audits)
+        if observer is not None:
+            observer.emit("audit:window", audits=self.auditor.audits)
 
     def run(self) -> SimStats:
         """Run every stream to completion; returns finalized stats."""
@@ -146,11 +146,9 @@ class TraceEngine:
         system = self.system
         auditor = self.auditor
         oracle = self.oracle
-        tracer = self.tracer
         if auditor is not None:
             auditor.install(system)
-        if tracer.enabled:
-            install_tracer(system, tracer)
+        system.home.observer = observer = fan_out(system.home.observer, self.observer)
         total = sum(len(stream) for stream in self.streams)
         warmup_left = int(total * self.warmup_fraction)
         if total and warmup_left >= total:
@@ -169,14 +167,6 @@ class TraceEngine:
             clock, core, index = heapq.heappop(heap)
             acc = self.streams[core][index]
             issue_time = clock + acc.gap
-            if tracer.enabled:
-                tracer.emit(
-                    "txn:start",
-                    cycle=issue_time,
-                    core=acc.core,
-                    addr=acc.addr,
-                    op=acc.kind.name,
-                )
             pre_state = (
                 oracle.pre_state(system, acc.core, acc.addr)
                 if oracle is not None
@@ -186,14 +176,6 @@ class TraceEngine:
             if oracle is not None:
                 oracle.observe(system, acc.core, acc.addr, acc.kind, pre_state)
             done = issue_time + latency
-            if tracer.enabled:
-                tracer.emit(
-                    "txn:finish",
-                    cycle=done,
-                    core=acc.core,
-                    addr=acc.addr,
-                    latency=latency,
-                )
             if done > finish:
                 finish = done
             processed += 1
@@ -205,11 +187,9 @@ class TraceEngine:
             if warmup_left and processed == warmup_left:
                 system.stats.reset()
                 measure_start = finish
-                if tracer.enabled:
-                    tracer.emit(
-                        "measure:start",
-                        cycle=finish,
-                        warmup_accesses=processed,
+                if observer is not None:
+                    observer.emit(
+                        "measure:start", cycle=finish, warmup_accesses=processed
                     )
             index += 1
             if index < len(self.streams[core]):
@@ -409,8 +389,8 @@ def run_trace(
     auditor=None,
     oracle=None,
     recovery=None,
-    tracer=None,
-    fast_path: "bool | None" = None,
+    observer=None,
+    fast_path: bool = True,
 ) -> SimStats:
     """Convenience wrapper: run ``streams`` on ``system`` and return stats."""
     return TraceEngine(
@@ -420,6 +400,6 @@ def run_trace(
         auditor=auditor,
         oracle=oracle,
         recovery=recovery,
-        tracer=tracer,
+        observer=observer,
         fast_path=fast_path,
     ).run()

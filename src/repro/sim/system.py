@@ -123,7 +123,17 @@ class System:
 
     def access(self, acc: Access, now: int) -> int:
         """Process one access at cycle ``now``; returns its latency."""
+        observer = self.home.observer
+        if observer is not None:
+            observer.emit(
+                "txn:start", cycle=now, core=acc.core, addr=acc.addr, op=acc.kind.name
+            )
         latency = self._access(acc, now)
+        if observer is not None:
+            observer.emit(
+                "txn:finish", cycle=now + latency, core=acc.core, addr=acc.addr,
+                latency=latency,
+            )
         self.access_index += 1
         if self.fault_injector is not None:
             self.fault_injector.on_access(self)
@@ -150,11 +160,17 @@ class System:
             return config.l1_latency + out.latency
         notices = core.fill(acc.addr, acc.kind, out.fill_state)
         injector = self.fault_injector
+        observer = self.home.observer
         for notice in notices:
             if injector is not None and injector.intercept_eviction(
                 acc.core, notice.addr
             ):
                 continue
+            if observer is not None:
+                observer.emit(
+                    "evict:notice", cycle=now, core=acc.core, addr=notice.addr,
+                    state=notice.state.name,
+                )
             self.home.handle_private_eviction(
                 acc.core, notice.addr, notice.state, now
             )

@@ -5,10 +5,11 @@ every simulator layer (``directory``, ``coherence``, ``sim``,
 ``recovery``) can import it without cycles. It has three parts:
 
 * **Tracing** (:mod:`~repro.telemetry.events`,
-  :mod:`~repro.telemetry.sinks`): structured :class:`TraceEvent`
-  records emitted from instrumented hot paths into a pluggable sink
-  (ring buffer, JSONL file, or null). Off by default via the shared
-  :data:`NULL_TRACER`; disabled runs are bit-identical.
+  :mod:`~repro.telemetry.sinks`): the :data:`TRANSITIONS` table of
+  every event kind, and structured :class:`TraceEvent` records emitted
+  through the home controller's one ``observer`` slot into a pluggable
+  sink (ring buffer, JSONL file, or null). The slot is empty by
+  default; unobserved runs are bit-identical.
 * **Metrics** (:mod:`~repro.telemetry.metrics`): a
   :class:`MetricsRegistry` of counters, gauges, and log2-bucketed
   histograms that snapshots into the publish-only-when-nonempty
@@ -19,7 +20,7 @@ every simulator layer (``directory``, ``coherence``, ``sim``,
 End-to-end usage is documented in ``docs/telemetry.md``.
 """
 
-from repro.telemetry.events import EVENT_KINDS, TraceEvent
+from repro.telemetry.events import EVENT_KINDS, TRANSITIONS, TraceEvent
 from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
@@ -30,13 +31,11 @@ from repro.telemetry.metrics import (
 from repro.telemetry.sinks import (
     DEFAULT_RING_CAPACITY,
     DEFAULT_TRACE_OUT,
-    NULL_TRACER,
     JsonlSink,
     NullSink,
-    NullTracer,
     RingBufferSink,
     Tracer,
-    install_tracer,
+    fan_out,
     jsonl_trace_enabled,
     merge_worker_traces,
     read_trace,
@@ -48,6 +47,7 @@ from repro.telemetry.bench import bench_dir_from_env, write_bench_point
 
 __all__ = [
     "EVENT_KINDS",
+    "TRANSITIONS",
     "TraceEvent",
     "Histogram",
     "MetricsRegistry",
@@ -56,13 +56,11 @@ __all__ = [
     "phase",
     "DEFAULT_RING_CAPACITY",
     "DEFAULT_TRACE_OUT",
-    "NULL_TRACER",
     "JsonlSink",
     "NullSink",
-    "NullTracer",
     "RingBufferSink",
     "Tracer",
-    "install_tracer",
+    "fan_out",
     "jsonl_trace_enabled",
     "merge_worker_traces",
     "read_trace",

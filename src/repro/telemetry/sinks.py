@@ -1,18 +1,18 @@
-"""Trace sinks and the tracer front-end.
+"""Trace sinks, the tracer, and observer fan-out.
 
-The tracer follows the same zero-overhead-when-off contract as the
-flight recorder (:class:`repro.resilience.recorder.NullRecorder`) and
-the coverage map (:class:`repro.coherence.base.NullCoverage`): every
-instrumented component carries a shared :data:`NULL_TRACER` whose
-``enabled`` flag is False, and every hot-path hook is guarded with
-``if self.tracer.enabled:`` — an untraced run executes the exact same
-instructions it always did and stays bit-identical (pinned by
-``tests/test_telemetry.py``).
+Every home controller has one ``observer`` slot, ``None`` by default.
+Protocol code reports each transition with one guarded call,
+``if self.observer is not None: self.observer.emit(kind, ...)``, so an
+unobserved run pays one attribute test per potential event and stays
+bit-identical (pinned by ``tests/test_telemetry.py``). An observer is
+anything with :meth:`Tracer.emit`'s signature; :class:`Tracer` is the
+one that stamps :class:`TraceEvent` records into a sink, the auditor's
+flight recorder and the verifier's coverage map are the others, and
+:func:`fan_out` combines several into one slot.
 
-A *sink* is anywhere events go. Three backends:
+A *sink* is anywhere trace events go. Three backends:
 
-* :class:`NullSink` — drops everything (paired with :class:`NullTracer`
-  this is the off state).
+* :class:`NullSink` — drops everything.
 * :class:`RingBufferSink` — keeps the last ``capacity`` events in
   memory; cheap enough for tests and post-mortem "what just happened"
   inspection of arbitrarily long runs.
@@ -98,26 +98,8 @@ class JsonlSink:
             self._handle = None
 
 
-class NullTracer:
-    """Tracing disabled: the shared default, every hook short-circuits."""
-
-    enabled = False
-
-    def emit(self, kind: str, **context) -> None:  # pragma: no cover - no-op
-        pass
-
-    def close(self) -> None:
-        pass
-
-
-#: The shared disabled tracer every instrumented component starts with.
-NULL_TRACER = NullTracer()
-
-
 class Tracer:
     """Stamps sequence numbers onto events and hands them to a sink."""
-
-    enabled = True
 
     def __init__(self, sink) -> None:
         self.sink = sink
@@ -140,20 +122,36 @@ class Tracer:
         self.sink.close()
 
 
-def install_tracer(system, tracer) -> None:
-    """Attach ``tracer`` to every instrumented component of ``system``.
+class _FanOut:
+    """Forwards every event to each of several observers, in order."""
 
-    The home controller always carries a ``tracer`` attribute; tracking
-    containers (``directory``, ``tiny``) get one when they expose it.
-    Passing :data:`NULL_TRACER` (or any disabled tracer) restores the
-    off state.
+    __slots__ = ("observers",)
+
+    def __init__(self, observers: tuple) -> None:
+        self.observers = observers
+
+    def emit(self, kind, cycle=None, core=None, addr=None, **data) -> None:
+        for observer in self.observers:
+            observer.emit(kind, cycle, core, addr, **data)
+
+
+def fan_out(*observers):
+    """One observer forwarding to every non-None argument.
+
+    Returns None when there is none and the observer itself when there
+    is one, so a single sink is called directly. Fan-outs flatten and an
+    observer already present is not added twice, which makes
+    ``home.observer = fan_out(home.observer, extra)`` idempotent.
     """
-    home = system.home
-    home.tracer = tracer
-    for attr in ("directory", "tiny"):
-        container = getattr(home, attr, None)
-        if container is not None and hasattr(container, "tracer"):
-            container.tracer = tracer
+    flat: list = []
+    for observer in observers:
+        members = observer.observers if isinstance(observer, _FanOut) else (observer,)
+        for member in members:
+            if member is not None and all(member is not seen for seen in flat):
+                flat.append(member)
+    if len(flat) > 1:
+        return _FanOut(tuple(flat))
+    return flat[0] if flat else None
 
 
 # ----------------------------------------------------------------------

@@ -1,43 +1,35 @@
 """Protocol transition-coverage accounting.
 
-The home controllers carry a ``coverage`` attribute (a
-:class:`NullCoverage` by default) and call ``coverage.note(label)`` at
-every interesting state-machine decision point, guarded by
-``coverage.enabled`` exactly like the flight-recorder hooks — so runs
-without coverage collection execute the same instructions they always
-did and stay bit-identical.
+A :class:`CoverageMap` is an observer: attached to a home controller's
+``observer`` slot (alone or through :func:`repro.telemetry.fan_out`),
+it counts the kinds the protocol emits there. Unobserved runs pay only
+the slot's ``is not None`` test at each emission site, so they execute
+the same instructions they always did and stay bit-identical.
 
-Labels are short ``group:event`` strings:
+Kinds are the ``group:event`` rows of
+:data:`repro.telemetry.TRANSITIONS`, e.g. ``inval:M->I``,
+``dir:back_invalidate``, ``tiny:spill``. The ``mesi:<pre>-><post>:<kind>``
+rows are requester-side MESI transitions, derived by the verify harness
+from quiet pre/post ``state_of`` probes and emitted straight into the
+map (the controllers never pay for them).
 
-* ``mesi:<pre>-><post>:<kind>`` — requester-side MESI transitions,
-  derived by the verify harness from quiet pre/post ``state_of`` probes
-  (the controllers never pay for them);
-* ``inval:<prior>->I`` — remote invalidations through the shared
-  :meth:`~repro.coherence.base.BaseHome._invalidate_holders` path;
-* ``dir:*`` — sparse-directory-side events (allocation, eviction,
-  forwarding, upgrade);
-* ``llc:*`` — in-LLC tracking events (corrupting/restoring lines,
-  lengthened reads, tracked-victim back-invalidation);
-* ``tiny:*`` — tiny-directory allocation decisions (DSTRA/gNRU
-  allocate/decline/evict), spills, unspills and recalls;
-* ``mgd:*`` / ``stash:*`` / ``shared_only:*`` — scheme-variant events.
-
-:data:`KNOWN_TRANSITIONS` enumerates, per scheme name, the transitions
-the conformance subsystem expects to be reachable; the fuzzer steers
-its bias profiles toward uncovered entries and the CLI can assert a
-coverage floor against the same universe.
+:data:`KNOWN_TRANSITIONS` is derived from the same table: per verified
+scheme, the transitions the conformance subsystem expects to be
+reachable. The fuzzer steers its bias profiles toward uncovered entries
+and the CLI asserts a coverage floor against the same universe. Rows of
+the :data:`~repro.telemetry.events.UNGATED` universe (MESI corners the
+fuzzer reaches only by chance, and the shared-only sparse variant the
+verifier does not run) are counted when they fire but gate no floor.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from repro.coherence.base import NullCoverage
+from repro.telemetry.events import TRANSITIONS, UNGATED
 
 __all__ = [
-    "NullCoverage",
     "CoverageMap",
-    "MESI_TRANSITIONS",
     "KNOWN_TRANSITIONS",
     "coverage_fraction",
     "render_coverage_table",
@@ -47,13 +39,11 @@ __all__ = [
 class CoverageMap:
     """Counts protocol transitions seen during a run."""
 
-    enabled = True
-
     def __init__(self) -> None:
         self.counts: "Counter[str]" = Counter()
 
-    def note(self, transition: str) -> None:
-        self.counts[transition] += 1
+    def emit(self, kind: str, cycle=None, core=None, addr=None, **data) -> None:
+        self.counts[kind] += 1
 
     def merge(self, other: "CoverageMap | dict | Counter") -> None:
         counts = other.counts if isinstance(other, CoverageMap) else other
@@ -62,87 +52,15 @@ class CoverageMap:
     def covered(self) -> "set[str]":
         return set(self.counts)
 
-    def install(self, system) -> None:
-        """Attach this map to ``system``'s home controller."""
-        system.home.coverage = self
-
-
-#: MESI transitions observable from the requesting core's perspective.
-MESI_TRANSITIONS = (
-    "mesi:I->E:read",
-    "mesi:I->S:read",
-    "mesi:I->S:ifetch",
-    "mesi:I->M:write",
-    "mesi:S->M:write",
-    "mesi:E->M:write",
-    "mesi:S->S:read",
-    "mesi:S->S:ifetch",
-    "mesi:E->E:read",
-    "mesi:M->M:read",
-    "mesi:M->M:write",
-)
-
-#: Remote-invalidation transitions through the shared helper used by
-#: the sparse-directory scheme family.
-_INVAL = ("inval:M->I", "inval:E->I", "inval:S->I")
-
-_SPARSE_DIR = (
-    "dir:alloc",
-    "dir:evict",
-    "dir:drop",
-    "dir:back_invalidate",
-    "dir:fwd_exclusive",
-    "dir:write_shared",
-    "dir:upgrade",
-)
-
-_LLC = (
-    "llc:mark_tracked",
-    "llc:restore",
-    "llc:evict_tracked",
-    "llc:evict_dirty",
-    "llc:lengthened_read",
-)
-
-_TINY = (
-    "tiny:hit",
-    "tiny:spill_hit",
-    "tiny:fwd_refill",
-    "tiny:unspill",
-    "tiny:alloc",
-    "tiny:evict",
-    "tiny:decline",
-    "tiny:spill",
-    "tiny:rehome_spill",
-    "tiny:rehome_corrupt",
-    "tiny:recall",
-    "llc:back_invalidate",
-)
-
-_MGD = (
-    "mgd:region_alloc",
-    "mgd:region_extend",
-    "mgd:region_demote",
-    "mgd:region_shrink",
-    "mgd:block_alloc",
-    "mgd:evict_region",
-)
-
-_STASH = ("stash:stash", "stash:recover", "stash:unstash")
 
 #: Per-scheme transition universe the fuzzer steers toward and the CLI
 #: reports coverage fractions against. Entries are kept to transitions
 #: reachable at verification scale; rare corner events still get
 #: counted when they fire, they just do not gate the floor.
 KNOWN_TRANSITIONS: "dict[str, tuple[str, ...]]" = {
-    "sparse": MESI_TRANSITIONS + _INVAL + _SPARSE_DIR,
-    "in_llc": MESI_TRANSITIONS + _LLC,
-    "tiny": MESI_TRANSITIONS + _LLC + _TINY,
-    "mgd": MESI_TRANSITIONS
-    + _INVAL
-    + ("dir:back_invalidate", "dir:fwd_exclusive", "dir:write_shared", "dir:upgrade")
-    + _MGD,
-    "stash": MESI_TRANSITIONS + _INVAL + _SPARSE_DIR + _STASH,
+    scheme: tuple(row.kind for row in TRANSITIONS if scheme in row.schemes)
+    for scheme in dict.fromkeys(s for row in TRANSITIONS for s in row.schemes)
+    if scheme != UNGATED
 }
 
 

@@ -287,7 +287,7 @@ def run_stats(
     *,
     l1_kb: int = DIFF_L1_KB,
     l2_kb: int = DIFF_L2_KB,
-    fast_path: "bool | None" = None,
+    fast_path: bool = True,
 ):
     """One clean, unobserved run; returns the finalized stats dump.
 

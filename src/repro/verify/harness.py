@@ -22,7 +22,7 @@ from repro.resilience.auditor import ProtocolAuditor
 from repro.resilience.faults import FaultInjector, FaultPlan, InjectedFault
 from repro.sim.config import SystemConfig
 from repro.sim.system import System
-from repro.telemetry import install_tracer, tracer_from_env
+from repro.telemetry import fan_out, tracer_from_env
 from repro.types import Access
 from repro.verify.coverage import CoverageMap
 from repro.verify.oracle import ValueOracle
@@ -68,8 +68,7 @@ class VerifyHarness:
             system.fault_injector = self.injector
         self.oracle = ValueOracle() if oracle else None
         self.coverage = coverage
-        if coverage is not None:
-            coverage.install(system)
+        system.home.observer = fan_out(system.home.observer, coverage)
         self.auditor = ProtocolAuditor(interval=max(1, audit_interval))
         self.auditor.install(system)
         self.recovery = recovery
@@ -100,7 +99,7 @@ class VerifyHarness:
         self.now += max(1, latency)
         if self.coverage is not None:
             post = self.system.cores[core].state_of(addr)
-            self.coverage.note(f"mesi:{pre.value}->{post.value}:{step.kind}")
+            self.coverage.emit(f"mesi:{pre.value}->{post.value}:{step.kind}")
         if self.oracle is not None:
             self.oracle.observe(self.system, core, addr, kind, pre)
         self.executed += 1
@@ -165,8 +164,7 @@ def run_schedule(
             raise ValueError("run_schedule needs a system or a scheme spec")
         system = build_system(spec, num_cores, l1_kb, l2_kb, seed=seed)
     tracer = tracer_from_env()
-    if tracer is not None:
-        install_tracer(system, tracer)
+    system.home.observer = fan_out(system.home.observer, tracer)
     harness = VerifyHarness(
         system,
         audit_interval=audit_interval,

@@ -168,3 +168,37 @@ def test_internal_env_vars_exempt(checker):
     source = root / "src" / "repro" / "knobs.py"
     source.write_text("import os\nos.environ['REPRO_TRACE_WORKER'] = '1'\n")
     assert module.check_env_vars() == []
+
+
+def test_real_repo_event_table_matches_transitions():
+    spec = importlib.util.spec_from_file_location("check_docs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.check_event_table() == []
+    assert len(module.documented_kinds(REPO / module.EVENTS_DOC)) > 50
+
+
+def test_event_table_drift_detected(checker):
+    module, root = checker
+    events = root / "src" / "repro" / "telemetry" / "events.py"
+    events.parent.mkdir(parents=True)
+    events.write_text(
+        "from typing import NamedTuple\n"
+        "class Transition(NamedTuple):\n"
+        "    kind: str\n"
+        "TRANSITIONS = (Transition('tiny:alloc'), Transition('txn:start'))\n"
+    )
+    doc = root / "docs" / "telemetry.md"
+    doc.write_text(
+        "## Event taxonomy\n\n| Kind | Meaning |\n| --- | --- |\n"
+        "| `tiny:alloc` | a |\n| `tiny:alloc` | b |\n| `gone:kind` | c |\n\n"
+        "## Elsewhere\n\n| `txn:start` | not the event table |\n"
+    )
+    problems = module.check_event_table()
+    assert any("txn:start" in p and "undocumented" in p for p in problems)
+    assert any("gone:kind" in p and "not in TRANSITIONS" in p for p in problems)
+    assert any("tiny:alloc" in p and "more than once" in p for p in problems)
+    doc.write_text(
+        "## Event taxonomy\n\n| `tiny:alloc` | a |\n| `txn:start` | b |\n"
+    )
+    assert module.check_event_table() == []

@@ -23,7 +23,6 @@ from repro.sim.config import (
     TinySpec,
 )
 from repro.sim.engine import TraceEngine, run_trace
-from repro.sim.fastpath import ENV_FAST, fast_lane_from_env
 from repro.sim.system import System
 from repro.telemetry import RingBufferSink, Tracer
 from repro.workloads.generator import (
@@ -101,9 +100,13 @@ class TestEngagement:
             System(config),
             [[]],
             fast_path=True,
-            tracer=Tracer(RingBufferSink()),
+            observer=Tracer(RingBufferSink()),
         )
         assert not engine.fast_lane_engaged()
+        # An observer already in the home's slot disengages it too.
+        system = System(config)
+        system.home.observer = Tracer(RingBufferSink())
+        assert not TraceEngine(system, [[]]).fast_lane_engaged()
 
     def test_fault_injector_disengages(self):
         config = small_config(SparseSpec())
@@ -112,40 +115,13 @@ class TestEngagement:
         engine = TraceEngine(system, [[]], fast_path=True)
         assert not engine.fast_lane_engaged()
 
-    def test_env_off_selects_reference_lane(self, monkeypatch):
-        monkeypatch.setenv(ENV_FAST, "off")
-        config = small_config(SparseSpec())
-        engine = TraceEngine(System(config), [[]])
-        assert not engine.fast_lane_engaged()
-
-
-class TestFastLaneEnv:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv(ENV_FAST, raising=False)
-        assert fast_lane_from_env() is True
-
-    @pytest.mark.parametrize("value", ["off", "0", "false", "no", "OFF"])
-    def test_off_values(self, monkeypatch, value):
-        monkeypatch.setenv(ENV_FAST, value)
-        assert fast_lane_from_env() is False
-
-    @pytest.mark.parametrize("value", ["on", "1", "true", "yes"])
-    def test_on_values(self, monkeypatch, value):
-        monkeypatch.setenv(ENV_FAST, value)
-        assert fast_lane_from_env() is True
-
-    def test_unrecognized_warns_and_defaults(self, monkeypatch, capsys):
-        monkeypatch.setenv(ENV_FAST, "sideways")
-        assert fast_lane_from_env() is True
-        assert ENV_FAST in capsys.readouterr().err
-
 
 class TestMeasureStartEvent:
     def test_reference_lane_emits_measure_start(self):
         config = small_config(SparseSpec())
         streams = generate_streams("bodytrack", config, 2000, seed=5)
         sink = RingBufferSink()
-        run_trace(System(config), streams, tracer=Tracer(sink))
+        run_trace(System(config), streams, observer=Tracer(sink))
         marks = [e for e in sink.events() if e.kind == "measure:start"]
         assert len(marks) == 1
         assert marks[0].data["warmup_accesses"] > 0
@@ -156,7 +132,7 @@ class TestMeasureStartEvent:
         streams = generate_streams("bodytrack", config, 2000, seed=5)
         sink = RingBufferSink()
         run_trace(
-            System(config), streams, warmup_fraction=0.0, tracer=Tracer(sink)
+            System(config), streams, warmup_fraction=0.0, observer=Tracer(sink)
         )
         assert not [e for e in sink.events() if e.kind == "measure:start"]
 

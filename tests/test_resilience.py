@@ -27,7 +27,6 @@ from repro.resilience import (
     FaultKind,
     FaultPlan,
     FlightRecorder,
-    NullRecorder,
     ProtocolAuditor,
     auditor_from_env,
 )
@@ -105,6 +104,15 @@ class TestOnlineAuditor:
         assert "last_transactions" in str(violation)
         # The injected fault itself is on the record for that address.
         assert any("fault:" in str(record) for record in violation.history)
+        # Tracking-structure transitions reach the recorder too: a
+        # corrupted tiny-directory entry's history shows its allocation.
+        spec = TinySpec(ratio=1 / 32, policy="gnru", spill=True, spill_window=64)
+        system, streams = _build(spec, FaultKind.CORRUPT_TINY_ENTRY)
+        with pytest.raises(InvariantViolation) as excinfo:
+            run_trace(system, streams, auditor=ProtocolAuditor(interval=AUDIT_INTERVAL))
+        events = [record.event for record in excinfo.value.history]
+        assert any(event.startswith("tiny:") for event in events), events
+        assert any(event.startswith("fault:") for event in events), events
 
     @pytest.mark.parametrize("spec", SCHEMES)
     def test_clean_run_bit_identical_with_auditing(self, spec):
@@ -206,10 +214,12 @@ class TestFaultPlanFromEnv:
 
 class TestFlightRecorder:
     def test_null_recorder_is_inert(self):
-        recorder = NullRecorder()
-        assert not recorder.enabled
-        recorder.record(0x40, "fill", core=1)
-        assert recorder.history(0x40) == ()
+        # Recording is off by default: an unaudited run leaves the
+        # home's observer slot empty, and a fresh recorder holds nothing.
+        system, streams = _build(SparseSpec())
+        run_trace(system, [stream[:200] for stream in streams])
+        assert system.home.observer is None
+        assert FlightRecorder().history(0x40) == ()
 
     def test_bounded_depth(self):
         recorder = FlightRecorder(depth=3)

@@ -23,16 +23,15 @@ import sys
 import pytest
 
 from repro.analysis.runner import RunScale, run_app
+from repro.sim.config import SparseSpec
 from repro.sim.system import System
 from repro.telemetry import (
     EVENT_KINDS,
     JsonlSink,
     MetricsRegistry,
-    NULL_TRACER,
     RingBufferSink,
     TraceEvent,
     Tracer,
-    install_tracer,
     merge_snapshots,
     merge_worker_traces,
     metrics_from_env,
@@ -47,14 +46,14 @@ from repro.sim.engine import run_trace
 SCALE = RunScale(num_cores=8, total_accesses=4_000, spill_window=64)
 
 
-def small_run(tracer=None, scheme=None):
+def small_run(observer=None, scheme=None, auditor=None):
     scheme = scheme or SCALE.tiny_spec(1 / 32, "gnru", spill=True)
     config = SCALE.make_config(scheme)
     system = System(config)
     streams = generate_streams(
         "compress", config, SCALE.total_accesses, seed=SCALE.seed
     )
-    stats = run_trace(system, streams, tracer=tracer)
+    stats = run_trace(system, streams, observer=observer, auditor=auditor)
     return system, stats
 
 
@@ -80,7 +79,7 @@ class TestTraceEvent:
 class TestBitIdentity:
     def test_traced_run_is_bit_identical_to_untraced(self):
         _, plain = small_run()
-        _, traced = small_run(tracer=Tracer(RingBufferSink()))
+        _, traced = small_run(observer=Tracer(RingBufferSink()))
         assert traced.dump() == plain.dump()
 
     def test_untraced_dump_has_no_telemetry_section(self):
@@ -102,7 +101,7 @@ class TestBitIdentity:
 class TestTraceCapture:
     def test_txn_events_cover_every_access(self):
         tracer = Tracer(RingBufferSink(capacity=1_000_000))
-        _, stats = small_run(tracer=tracer)
+        _, stats = small_run(observer=tracer)
         events = tracer.sink.events()
         starts = [e for e in events if e.kind == "txn:start"]
         finishes = [e for e in events if e.kind == "txn:finish"]
@@ -116,7 +115,7 @@ class TestTraceCapture:
 
     def test_tiny_scheme_emits_structure_events(self):
         tracer = Tracer(RingBufferSink(capacity=1_000_000))
-        small_run(tracer=tracer)
+        small_run(observer=tracer)
         kinds = {e.kind for e in tracer.sink.events()}
         assert "tiny:alloc" in kinds
         assert "stra:classify" in kinds
@@ -137,7 +136,7 @@ class TestTraceCapture:
                 for sink in self.sinks:
                     sink.close()
 
-        small_run(tracer=Tracer(Tee(JsonlSink(path), ring)))
+        small_run(observer=Tracer(Tee(JsonlSink(path), ring)))
         assert read_trace(path) == ring.events()
 
     def test_read_trace_tolerates_torn_tail(self, tmp_path):
@@ -152,15 +151,85 @@ class TestTraceCapture:
         assert [e.seq for e in events] == [1, 2]
 
     def test_install_tracer_reaches_containers_and_reverts(self):
-        system, _ = small_run()
-        tracer = Tracer(RingBufferSink())
-        install_tracer(system, tracer)
-        assert system.home.tracer is tracer
-        tiny = getattr(system.home, "tiny", None)
-        if tiny is not None and hasattr(tiny, "tracer"):
-            assert tiny.tracer is tracer
-        install_tracer(system, NULL_TRACER)
-        assert system.home.tracer is NULL_TRACER
+        # The observer lands in the home's one slot; the tiny directory
+        # has no slot of its own, yet its transitions reach the tracer
+        # as home events. Emptying the slot turns observation off.
+        tracer = Tracer(RingBufferSink(capacity=1_000_000))
+        system, _ = small_run(observer=tracer)
+        assert system.home.observer is tracer
+        assert not hasattr(system.home.tiny, "observer")
+        assert "tiny:alloc" in {e.kind for e in tracer.sink.events()}
+        system.home.observer = None
+        emitted = tracer.emitted
+        system.home.finalize()  # would emit stra:classify if observed
+        assert tracer.emitted == emitted
+
+
+class TestObserverSeam:
+    def test_one_observation_slot(self):
+        from repro.coherence.base import BaseHome
+        from repro.directory.mgd import MultiGrainDirectory
+        from repro.directory.sparse import SparseDirectory
+        from repro.directory.zcache import ZCacheDirectory
+
+        sinks = {"observer", "tracer", "recorder", "coverage"}
+        assert sinks & set(BaseHome.__slots__) == {"observer"}
+        for container in (SparseDirectory, ZCacheDirectory, MultiGrainDirectory):
+            assert not sinks & set(container.__slots__)
+
+    def test_fan_out_flattens_and_skips_duplicates(self):
+        from repro.telemetry import fan_out
+
+        a, b = Tracer(RingBufferSink()), Tracer(RingBufferSink())
+        assert fan_out() is None and fan_out(None, a) is a
+        both = fan_out(a, b)
+        assert fan_out(both, a, None).observers == (a, b)
+        both.emit("tiny:alloc", cycle=3, addr=64)
+        assert [e.kind for e in a.sink.events()] == ["tiny:alloc"]
+        assert b.sink.events() == a.sink.events()
+
+    @pytest.mark.parametrize("scheme", [None, SparseSpec(ratio=0.125)], ids=["tiny", "sparse"])
+    def test_event_fields_match_transition_rows(self, scheme):
+        from repro.resilience import ProtocolAuditor
+        from repro.telemetry import TRANSITIONS
+
+        fields = {row.kind: set(row.fields) for row in TRANSITIONS}
+        tracer = Tracer(RingBufferSink(capacity=1_000_000))
+        small_run(observer=tracer, scheme=scheme, auditor=ProtocolAuditor(interval=500))
+        events = tracer.sink.events()
+        assert len({e.kind for e in events}) > 10
+        for event in events:
+            assert set(event.data) == fields[event.kind], event
+
+    def test_audited_traced_run_matches_single_observer_runs(self):
+        from repro.resilience import ProtocolAuditor
+
+        def events(tracer):
+            return [
+                (e.kind, e.cycle, e.core, e.addr, e.data)
+                for e in tracer.sink.events()
+                if not e.kind.startswith("audit:")
+            ]
+
+        def histories(auditor):
+            return {
+                addr: [str(record) for record in auditor.recorder.history(addr)]
+                for addr in auditor.recorder._per_addr
+            }
+
+        _, plain = small_run()
+        traced_only = Tracer(RingBufferSink(capacity=1_000_000))
+        _, traced_stats = small_run(observer=traced_only)
+        audited_only = ProtocolAuditor(interval=100)
+        small_run(auditor=audited_only)
+        tracer = Tracer(RingBufferSink(capacity=1_000_000))
+        auditor = ProtocolAuditor(interval=100)
+        _, both = small_run(observer=tracer, auditor=auditor)
+        assert events(tracer) == events(traced_only)
+        assert histories(auditor) == histories(audited_only)
+        assert both.dump() == traced_stats.dump() == plain.dump()
+        kinds = {e.kind for e in tracer.sink.events()}
+        assert {"audit:window", "tiny:alloc"} <= kinds
 
 
 class TestWorkerTraceFanIn:

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.errors import TraceError
+from repro.sim.config import InLLCSpec, MgdSpec, SparseSpec, StashSpec, TinySpec
+from repro.telemetry import EVENT_KINDS
 from repro.verify import (
     KNOWN_TRANSITIONS,
     CoverageMap,
@@ -154,11 +156,36 @@ class TestCoverage:
         coverage["tiny"].merge(result.coverage_counts)
         assert coverage_fraction("tiny", coverage["tiny"].covered()) >= 0.6
 
+    @pytest.mark.parametrize(
+        "scheme, spec",
+        [
+            ("sparse", SparseSpec(ratio=0.125)),
+            ("sparse", SparseSpec(ratio=0.125, zcache=True)),
+            ("sparse", SparseSpec(ratio=0.125, shared_only=True)),
+            ("in_llc", InLLCSpec()),
+            ("in_llc", InLLCSpec(tag_extended=True)),
+            ("tiny", TinySpec(spill=True)),
+            ("mgd", MgdSpec()),
+            ("stash", StashSpec()),
+        ],
+        ids=["sparse", "zcache", "shared_only", "in_llc", "in_llc_tag",
+             "tiny_spill", "mgd", "stash"],
+    )
+    def test_every_emitted_kind_is_a_table_row(self, scheme, spec):
+        result = fuzz_run(scheme, spec, steps=600, seed=7, shrink=False)
+        emitted = set(result.coverage_counts)
+        assert not result.failed
+        assert emitted - set(EVENT_KINDS) == set()
+        if spec.name == "sparse" and spec.shared_only:
+            # The ungated rows are really reachable.
+            assert {"shared_only:private", "shared_only:promote",
+                    "shared_only:demote"} <= emitted
+
     def test_merge_accumulates_counts(self):
         a, b = CoverageMap(), CoverageMap()
-        a.note("x:1")
-        b.note("x:1")
-        b.note("y:2")
+        a.emit("x:1")
+        b.emit("x:1")
+        b.emit("y:2")
         a.merge(b)
         assert a.counts["x:1"] == 2
         assert a.counts["y:2"] == 1

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Documentation consistency checker (CI gate).
 
-Three checks, all cheap and dependency-free (CLI parsers are read via
-``ast``, so no simulator import is needed):
+Five checks, all cheap and dependency-free (CLI parsers are read via
+``ast`` and the transition table is loaded from its stdlib-only module
+file, so no simulator import is needed):
 
 1. **Intra-repo links** — every relative markdown link in README.md and
    ``docs/*.md`` must resolve to an existing file (anchors stripped;
@@ -13,6 +14,10 @@ Three checks, all cheap and dependency-free (CLI parsers are read via
 3. **Stale flags** — every flag row in a paired doc's CLI flag table(s)
    (markdown table rows whose first cell starts with ``--``) must still
    exist in its parser, so removed flags cannot linger in the docs.
+4. **Environment variables** — every ``REPRO_*`` variable the source
+   reads is documented, and every documented one is still read.
+5. **Event table** — the event table of ``docs/telemetry.md`` lists
+   exactly the kinds of ``repro.telemetry.events.TRANSITIONS``.
 
 Exit status 0 when clean, 1 with one line per problem otherwise.
 """
@@ -20,6 +25,7 @@ Exit status 0 when clean, 1 with one line per problem otherwise.
 from __future__ import annotations
 
 import ast
+import importlib.util
 import pathlib
 import re
 import sys
@@ -49,10 +55,18 @@ ENV_INTERNAL = {
     "REPRO_TRACE_WORKER",  # set by the pool to route worker trace parts
 }
 
+#: The module holding the transition table, and the doc section whose
+#: table must list exactly its kinds.
+EVENTS_MODULE = "src/repro/telemetry/events.py"
+EVENTS_DOC = "docs/telemetry.md"
+EVENTS_SECTION = "## Event taxonomy"
+
 #: Markdown inline link: [text](target), ignoring images and code spans.
 _LINK = re.compile(r"(?<!\!)\[[^\]]*\]\(([^()\s]+)\)")
 #: First cell of a markdown table row that documents a CLI flag.
 _FLAG_ROW = re.compile(r"^\|\s*`(--[a-z][a-z0-9-]*)[` =\[]")
+#: First cell of a markdown table row naming an event kind.
+_KIND_ROW = re.compile(r"^\|\s*`([^`]+)`\s*\|")
 
 
 def doc_files() -> "list[pathlib.Path]":
@@ -202,9 +216,57 @@ def check_env_vars() -> "list[str]":
     return problems
 
 
+def transition_kinds(module: pathlib.Path) -> "list[str]":
+    """The kinds of ``TRANSITIONS``, loaded from the module file alone."""
+    spec = importlib.util.spec_from_file_location("_transitions", module)
+    events = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(events)
+    return [row.kind for row in events.TRANSITIONS]
+
+
+def documented_kinds(doc: pathlib.Path) -> "list[str]":
+    """First-cell kinds of the table rows under :data:`EVENTS_SECTION`."""
+    kinds, inside = [], False
+    for line in doc.read_text().splitlines():
+        if line.startswith("## "):
+            inside = line.strip() == EVENTS_SECTION
+        elif inside:
+            match = _KIND_ROW.match(line.strip())
+            if match:
+                kinds.append(match.group(1))
+    return kinds
+
+
+def check_event_table() -> "list[str]":
+    """The doc's event table lists each ``TRANSITIONS`` kind exactly once."""
+    module, doc = REPO / EVENTS_MODULE, REPO / EVENTS_DOC
+    for path, rel in ((module, EVENTS_MODULE), (doc, EVENTS_DOC)):
+        if not path.exists():
+            return [f"{rel}: missing (event-table check needs it)"]
+    table = transition_kinds(module)
+    documented = documented_kinds(doc)
+    problems = [
+        f"{EVENTS_DOC}: event kind {kind} ({EVENTS_MODULE}) is undocumented"
+        for kind in table
+        if kind not in documented
+    ]
+    problems += [
+        f"{EVENTS_DOC}: event kind {kind} is documented but not in TRANSITIONS"
+        for kind in dict.fromkeys(documented)
+        if kind not in table
+    ]
+    problems += [
+        f"{EVENTS_DOC}: event kind {kind} is documented more than once"
+        for kind in dict.fromkeys(documented)
+        if documented.count(kind) > 1
+    ]
+    return problems
+
+
 def main() -> int:
     problems = check_links()
     problems += check_env_vars()
+    problems += check_event_table()
     for pair in FLAG_PAIRS:
         problems += check_flags(*pair)
     problems += check_stale_flags()
