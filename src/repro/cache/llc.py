@@ -76,7 +76,7 @@ class LLCLine:
 
     def distinct_sharers(self) -> int:
         """Distinct cores that held the block during this residency."""
-        return bin(self.sharers_seen).count("1")
+        return self.sharers_seen.bit_count()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "spill" if self.is_spill else self.state.value
@@ -137,7 +137,8 @@ class LLCBank:
     # ------------------------------------------------------------------
 
     def set_index(self, addr: int) -> int:
-        """In-bank set index for block address ``addr``."""
+        """In-bank set index for block address ``addr`` (hot paths inline
+        this expression)."""
         return (addr // self.bank_stride) % self.num_sets
 
     def is_no_spill_set(self, set_index: int) -> bool:
@@ -157,7 +158,7 @@ class LLCBank:
         more recent.
         """
         self.tag_lookups += 1
-        lines = self._sets.get(self.set_index(addr))
+        lines = self._sets.get((addr // self.bank_stride) % self.num_sets)
         if not lines:
             return None, None
         data_line = None
@@ -181,7 +182,7 @@ class LLCBank:
         Used by the invariant checkers and the fault injector so that
         auditing a run never perturbs its statistics.
         """
-        lines = self._sets.get(self.set_index(addr))
+        lines = self._sets.get((addr // self.bank_stride) % self.num_sets)
         data_line = None
         spill_line = None
         if lines:
@@ -212,8 +213,7 @@ class LLCBank:
         """
         if state is LLCState.SPILLED_ENTRY:
             raise ProtocolError("use insert_spill for spilled tracking entries")
-        set_index = self.set_index(addr)
-        lines = self._sets.setdefault(set_index, [])
+        lines = self._sets.setdefault((addr // self.bank_stride) % self.num_sets, [])
         victim = None
         if len(lines) >= self.assoc:
             victim = lines.pop(0)
@@ -231,8 +231,8 @@ class LLCBank:
         *below* its companion data block in recency order when the block
         is resident, preserving the victimize-``E_B``-first rule.
         """
-        set_index = self.set_index(addr)
-        if self.is_no_spill_set(set_index):
+        set_index = (addr // self.bank_stride) % self.num_sets
+        if set_index in self._sample_sets:
             return None, None
         lines = self._sets.setdefault(set_index, [])
         victim = None
@@ -261,7 +261,7 @@ class LLCBank:
 
     def remove(self, line: LLCLine) -> None:
         """Remove ``line`` from its set (it must be resident)."""
-        lines = self._sets.get(self.set_index(line.tag))
+        lines = self._sets.get((line.tag // self.bank_stride) % self.num_sets)
         if lines is None or line not in lines:
             raise ProtocolError(f"line {line!r} is not resident")
         lines.remove(line)

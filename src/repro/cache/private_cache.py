@@ -147,7 +147,7 @@ class PrivateCore:
         return ProbeResult("l1" if code == 1 else "l2")
 
     def _l1_fill(self, l1: SetAssocArray, addr: int) -> None:
-        l1.insert(l1.set_index(addr), addr, None)
+        l1.insert(addr % l1.num_sets, addr, None)
 
     # ------------------------------------------------------------------
     # Fill and state-change paths (driven by the home controller)
@@ -162,7 +162,7 @@ class PrivateCore:
         if state is PrivateState.INVALID:
             raise ProtocolError("cannot fill a block in state I")
         notices = []
-        evicted = self.l2.insert(self.l2.set_index(addr), addr, state)
+        evicted = self.l2.insert(addr % self.l2.num_sets, addr, state)
         if evicted is not None:
             self._drop_from_l1s(evicted.tag)
             notices.append(EvictionNotice(evicted.tag, evicted.payload))
@@ -172,7 +172,7 @@ class PrivateCore:
 
     def complete_upgrade(self, addr: int) -> None:
         """Transition a block held in S to M after an upgrade response."""
-        line = self.l2.lookup(self.l2.set_index(addr), addr, touch=False)
+        line = self.l2.lookup(addr % self.l2.num_sets, addr, touch=False)
         if line is None or line.payload is not PrivateState.SHARED:
             raise ProtocolError(
                 f"core {self.core_id}: upgrade completion for block {addr:#x} "
@@ -187,7 +187,7 @@ class PrivateCore:
         block was not present, which callers treat as a stale-tracker
         protocol error where appropriate).
         """
-        line = self.l2.remove(self.l2.set_index(addr), addr)
+        line = self.l2.remove(addr % self.l2.num_sets, addr)
         self._drop_from_l1s(addr)
         if line is None:
             return PrivateState.INVALID
@@ -199,7 +199,7 @@ class PrivateCore:
         Returns the prior state (M or E) so the caller can account for a
         dirty writeback.
         """
-        line = self.l2.lookup(self.l2.set_index(addr), addr, touch=False)
+        line = self.l2.lookup(addr % self.l2.num_sets, addr, touch=False)
         if line is None or not line.payload.is_exclusive:
             raise ProtocolError(
                 f"core {self.core_id}: downgrade of block {addr:#x} "
@@ -210,8 +210,8 @@ class PrivateCore:
         return prior
 
     def _drop_from_l1s(self, addr: int) -> None:
-        self.il1.remove(self.il1.set_index(addr), addr)
-        self.dl1.remove(self.dl1.set_index(addr), addr)
+        self.il1.remove(addr % self.il1.num_sets, addr)
+        self.dl1.remove(addr % self.dl1.num_sets, addr)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -219,7 +219,7 @@ class PrivateCore:
 
     def state_of(self, addr: int) -> PrivateState:
         """The MESI state of ``addr`` in this hierarchy (I if absent)."""
-        line = self.l2.lookup(self.l2.set_index(addr), addr, touch=False)
+        line = self.l2.lookup(addr % self.l2.num_sets, addr, touch=False)
         if line is None:
             return PrivateState.INVALID
         return line.payload

@@ -110,10 +110,12 @@ class SetAssocArray:
         lines = self._sets.setdefault(set_index, [])
         evicted = None
         if len(lines) >= self.assoc:
-            evicted = self.choose_victim(set_index)
-            lines.remove(evicted)
-        line = Line(tag, payload)
-        lines.append(line)
+            if self.replacement == "lru":
+                evicted = lines.pop(0)
+            else:
+                evicted = self.choose_victim(set_index)
+                lines.remove(evicted)
+        lines.append(Line(tag, payload))
         return evicted
 
     def remove(self, set_index: int, tag: int) -> "Line | None":

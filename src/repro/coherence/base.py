@@ -47,6 +47,9 @@ class BaseHome:
         "banks",
         "_hit_latency_data",
         "_hit_latency_tag",
+        "_latency",
+        "_tiles",
+        "_memory_latency",
     )
 
     def __init__(
@@ -72,6 +75,12 @@ class BaseHome:
         # _three_hop call on the transaction critical path.
         self._hit_latency_tag = config.llc_tag_latency
         self._hit_latency_data = config.llc_tag_latency + config.llc_data_latency
+        # The mesh's flat tables, bound once: tile-to-tile latency indexed
+        # [src * tiles + dst] and tile-to-nearest-controller latency. The
+        # transaction paths index them instead of calling Mesh2D.
+        self._latency = mesh._latency_table
+        self._tiles = mesh.num_tiles
+        self._memory_latency = mesh._mc_latency
         self.banks = [
             LLCBank(
                 config.llc_sets_per_bank,
@@ -87,7 +96,8 @@ class BaseHome:
     # ------------------------------------------------------------------
 
     def bank_of(self, addr: int) -> int:
-        """Home bank (== home tile) of block ``addr``."""
+        """Home bank (== home tile) of block ``addr``; the transaction
+        paths inline ``addr % self.num_banks``."""
         return addr % self.num_banks
 
     def _llc_hit_latency(self, with_data: bool = True) -> int:
@@ -95,7 +105,7 @@ class BaseHome:
 
     def _two_hop(self, core: int, home: int, with_data: bool = True) -> int:
         """Requester -> home -> requester latency, including LLC lookup."""
-        return 2 * self.mesh.latency(core, home) + (
+        return 2 * self._latency[core * self._tiles + home] + (
             self._hit_latency_data if with_data else self._hit_latency_tag
         )
 
@@ -107,28 +117,34 @@ class BaseHome:
         ``llc_extra`` adds serialization beyond the tag lookup (e.g. the
         data read + decode of a corrupted block, Section IV-C).
         """
+        latency = self._latency
+        tiles = self._tiles
         return (
-            self.mesh.latency(core, home)
+            latency[core * tiles + home]
             + self._hit_latency_tag
             + llc_extra
-            + self.mesh.latency(home, target)
+            + latency[home * tiles + target]
             + self.config.l2_latency
-            + self.mesh.latency(target, core)
+            + latency[target * tiles + core]
         )
 
     def _invalidation_latency(self, home: int, holders: "list[int]", requester: int) -> int:
         """Slowest home -> holder -> requester invalidation/ack path."""
-        if not holders:
-            return 0
-        return max(
-            self.mesh.latency(home, holder) + self.mesh.latency(holder, requester)
-            for holder in holders
-        )
+        latency = self._latency
+        tiles = self._tiles
+        slowest = 0
+        for holder in holders:
+            path = latency[home * tiles + holder] + latency[holder * tiles + requester]
+            if path > slowest:
+                slowest = path
+        return slowest
 
     def _closest_sharer(self, coh: CohInfo, home: int) -> int:
-        """Elect the sharer nearest to the home tile to forward data."""
-        sharers = coh.sharer_list()
-        return min(sharers, key=lambda core: self.mesh.distance(home, core))
+        """Elect the sharer nearest to the home tile to forward data
+        (latency is hop count times a constant, so nearest == fastest)."""
+        latency = self._latency
+        row = home * self._tiles
+        return min(coh.sharer_list(), key=lambda core: latency[row + core])
 
     # ------------------------------------------------------------------
     # DRAM
@@ -136,9 +152,8 @@ class BaseHome:
 
     def _dram_fetch(self, addr: int, now: int, out: AccessOutcome) -> int:
         """Fetch a block from memory; returns the added latency."""
-        home = self.bank_of(addr)
         latency = (
-            2 * self.mesh.memory_latency(home)
+            2 * self._memory_latency[addr % self.num_banks]
             + self.dram.access(addr, now, is_write=False)
         )
         out.dram_access = True
@@ -201,7 +216,7 @@ class BaseHome:
 
     def _store_dirty_data(self, addr: int, now: int) -> None:
         """Deposit retrieved dirty data in the LLC line or in memory."""
-        bank = self.banks[self.bank_of(addr)]
+        bank = self.banks[addr % self.num_banks]
         line, _ = bank.lookup(addr, touch=False)
         if line is not None and not line.is_spill and line.state in (
             LLCState.CLEAN,

@@ -49,7 +49,7 @@ class CohInfo:
 
     def sharer_count(self) -> int:
         """Number of cores in the sharer set."""
-        return bin(self.sharers).count("1")
+        return self.sharers.bit_count()
 
     def holds(self, core: int) -> bool:
         """True when ``core`` has a valid copy according to this record."""

@@ -74,7 +74,7 @@ class InLLCHome(BaseHome):
         bank.data_writes += 1
 
     def _fill_llc(self, addr: int, now: int) -> LLCLine:
-        bank = self.banks[self.bank_of(addr)]
+        bank = self.banks[addr % self.num_banks]
         line, victim = bank.insert_block(addr, LLCState.CLEAN)
         if victim is not None:
             self._handle_llc_victim(victim, now)
@@ -128,7 +128,7 @@ class InLLCHome(BaseHome):
         upgrade: bool = False,
     ) -> AccessOutcome:
         out = AccessOutcome()
-        home = self.bank_of(addr)
+        home = addr % self.num_banks
         bank = self.banks[home]
         self.traffic.control(MessageClass.PROCESSOR)
         line, _ = bank.lookup(addr)
@@ -232,7 +232,7 @@ class InLLCHome(BaseHome):
             out.hops = 3
             out.latency = max(
                 base,
-                self.mesh.latency(core, home)
+                self._latency[core * self._tiles + home]
                 + self.config.llc_tag_latency
                 + extra
                 + inval_path,
@@ -287,10 +287,10 @@ class InLLCHome(BaseHome):
             self.traffic.control(MessageClass.COHERENCE)
         coh.set_owner(core)
         self.traffic.control(MessageClass.PROCESSOR)
-        request_leg = (
-            self.mesh.latency(core, home) + self.config.llc_tag_latency + extra
-        )
-        out.latency = request_leg + max(self.mesh.latency(home, core), inval_path)
+        latency = self._latency
+        tiles = self._tiles
+        request_leg = latency[core * tiles + home] + self.config.llc_tag_latency + extra
+        out.latency = request_leg + max(latency[home * tiles + core], inval_path)
         out.hops = 2 if not holders else 3
         self._mark_tracked(line, bank)
 
@@ -301,7 +301,7 @@ class InLLCHome(BaseHome):
     def handle_private_eviction(
         self, core: int, addr: int, state: PrivateState, now: int
     ) -> None:
-        bank = self.banks[self.bank_of(addr)]
+        bank = self.banks[addr % self.num_banks]
         line, _ = bank.lookup(addr, touch=False)
         if line is None or line.coh is None:
             # The line (and its tracking) was concurrently evicted and the
@@ -460,7 +460,7 @@ class TinyHome(InLLCHome):
         upgrade: bool = False,
     ) -> AccessOutcome:
         out = AccessOutcome()
-        home = self.bank_of(addr)
+        home = addr % self.num_banks
         bank = self.banks[home]
         self.traffic.control(MessageClass.PROCESSOR)
         entry = self.tiny.lookup(addr, now)
@@ -535,7 +535,9 @@ class TinyHome(InLLCHome):
 
         if self.spill_enabled:
             self.spill_policies[home].record_access(
-                in_sample_set=bank.is_no_spill_set(bank.set_index(addr)),
+                in_sample_set=bank.is_no_spill_set(
+                    (addr // bank.bank_stride) % bank.num_sets
+                ),
                 is_miss=out.dram_access,
                 is_shared_read=shared_read,
             )
@@ -594,7 +596,7 @@ class TinyHome(InLLCHome):
                     self.traffic.control(MessageClass.COHERENCE)
                 out.latency = max(
                     base,
-                    self.mesh.latency(core, home)
+                    self._latency[core * self._tiles + home]
                     + self.config.llc_tag_latency
                     + inval_path,
                 )
@@ -660,8 +662,10 @@ class TinyHome(InLLCHome):
             self.traffic.control(MessageClass.COHERENCE)
         coh.set_owner(core)
         self.traffic.control(MessageClass.PROCESSOR)
-        request_leg = self.mesh.latency(core, home) + self.config.llc_tag_latency
-        out.latency = request_leg + max(self.mesh.latency(home, core), inval_path)
+        latency = self._latency
+        tiles = self._tiles
+        request_leg = latency[core * tiles + home] + self.config.llc_tag_latency
+        out.latency = request_leg + max(latency[home * tiles + core], inval_path)
         out.hops = 2 if not holders else 3
 
     def _unspill_into_line(self, spill, line, bank) -> None:
@@ -741,7 +745,8 @@ class TinyHome(InLLCHome):
         coh, stra = victim_entry.coh, victim_entry.stra
         if coh.is_idle:
             return
-        bank = self.banks[self.bank_of(vaddr)]
+        home = vaddr % self.num_banks
+        bank = self.banks[home]
         vline, vspill = bank.lookup(vaddr, touch=False)
         if vspill is not None:
             raise ProtocolError(
@@ -751,7 +756,6 @@ class TinyHome(InLLCHome):
             self._back_invalidate_untracked(vaddr, coh, now)
             return
         if self.spill_enabled and coh.is_shared:
-            home = self.bank_of(vaddr)
             if self.spill_policies[home].allows(stra.category()):
                 spill_line, svictim = bank.insert_spill(vaddr, coh, stra)
                 if spill_line is not None:
@@ -798,7 +802,7 @@ class TinyHome(InLLCHome):
     # ------------------------------------------------------------------
 
     def _handle_llc_victim(self, victim: LLCLine, now: int) -> None:
-        bank = self.banks[self.bank_of(victim.tag)]
+        bank = self.banks[victim.tag % self.num_banks]
         if victim.is_spill:
             # Transfer the tracking back into the companion data block.
             b_line, _ = bank.lookup(victim.tag, touch=False)
@@ -830,7 +834,7 @@ class TinyHome(InLLCHome):
         self, core: int, addr: int, state: PrivateState, now: int
     ) -> None:
         entry = self.tiny.find_quiet(addr)
-        bank = self.banks[self.bank_of(addr)]
+        bank = self.banks[addr % self.num_banks]
         if entry is not None:
             self._notice_traffic(state, partial=False)
             entry.coh.remove(core)

@@ -98,7 +98,7 @@ class SparseHome(BaseHome):
     # ------------------------------------------------------------------
 
     def _fill_llc(self, addr: int, state: LLCState, now: int):
-        bank = self.banks[self.bank_of(addr)]
+        bank = self.banks[addr % self.num_banks]
         line, victim = bank.insert_block(addr, state)
         if victim is not None:
             self._handle_llc_victim(victim, now)
@@ -111,7 +111,7 @@ class SparseHome(BaseHome):
 
     def _ensure_llc_data(self, addr: int, dirty: bool, now: int) -> None:
         """Deposit written-back data into the LLC (allocate on absence)."""
-        bank = self.banks[self.bank_of(addr)]
+        bank = self.banks[addr % self.num_banks]
         line, _ = bank.lookup(addr, touch=False)
         if line is None:
             self._fill_llc(addr, LLCState.DIRTY if dirty else LLCState.CLEAN, now)
@@ -133,7 +133,7 @@ class SparseHome(BaseHome):
         upgrade: bool = False,
     ) -> AccessOutcome:
         out = AccessOutcome()
-        home = self.bank_of(addr)
+        home = addr % self.num_banks
         bank = self.banks[home]
         self.traffic.control(MessageClass.PROCESSOR)  # the request
         coh = self._find(addr, core, now, out)
@@ -143,9 +143,10 @@ class SparseHome(BaseHome):
             self._serve_upgrade(core, addr, coh, home, now, out)
             return out
 
-        shared_read = kind.is_read and coh is not None and coh.is_shared
+        is_read = kind.is_read
+        shared_read = is_read and coh is not None and coh.is_shared
         if line is not None:
-            if kind.is_read:
+            if is_read:
                 line.total_reads += 1
             if shared_read:
                 line.fwd_reads += 1
@@ -162,7 +163,7 @@ class SparseHome(BaseHome):
 
     def _serve_untracked(self, core, addr, kind, line, home, now, out) -> None:
         latency = self._two_hop(core, home)
-        if line is None or line.state is LLCState.INVALID:
+        if line is None:
             latency += self._dram_fetch(addr, now, out)
             line = self._fill_llc(addr, LLCState.CLEAN, now)
             if kind.is_read:
@@ -238,7 +239,10 @@ class SparseHome(BaseHome):
             coh.set_owner(core)
             out.fill_state = PrivateState.MODIFIED
             out.latency = max(
-                base, self.mesh.latency(core, home) + self.config.llc_tag_latency + inval_path
+                base,
+                self._latency[core * self._tiles + home]
+                + self.config.llc_tag_latency
+                + inval_path,
             )
         else:
             if line_valid:
@@ -283,8 +287,10 @@ class SparseHome(BaseHome):
             self.stats.invalidations += 1
         coh.set_owner(core)
         self.traffic.control(MessageClass.PROCESSOR)  # grant
-        request_leg = self.mesh.latency(core, home) + self.config.llc_tag_latency
-        out.latency = request_leg + max(self.mesh.latency(home, core), inval_path)
+        latency = self._latency
+        tiles = self._tiles
+        request_leg = latency[core * tiles + home] + self.config.llc_tag_latency
+        out.latency = request_leg + max(latency[home * tiles + core], inval_path)
         out.hops = 2 if not holders else 3
         self._after_update(addr, coh, now)
 
@@ -591,7 +597,7 @@ class MgdHome(SparseHome):
             self.observer.emit(
                 "mgd:region_demote", cycle=now, core=region_entry.owner, addr=addr
             )
-        region = self.directory.region_of(addr)
+        region = addr // BLOCKS_PER_REGION
         self.directory.remove_region(region)
         owner = region_entry.owner
         for baddr in region_entry.blocks(region):
@@ -606,7 +612,7 @@ class MgdHome(SparseHome):
 
     def _install(self, addr, coh, now):
         if coh.is_exclusive:
-            region = self.directory.region_of(addr)
+            region = addr // BLOCKS_PER_REGION
             offset = addr % BLOCKS_PER_REGION
             entry = self._region_hit
             if entry is None or entry.owner != coh.owner:
@@ -677,7 +683,7 @@ class MgdHome(SparseHome):
                 self.observer.emit("mgd:region_shrink", cycle=now, core=core, addr=addr)
             region_entry.presence &= ~(1 << (addr % BLOCKS_PER_REGION))
             if region_entry.presence == 0:
-                self.directory.remove_region(self.directory.region_of(addr))
+                self.directory.remove_region(addr // BLOCKS_PER_REGION)
 
     def _tracks(self, addr, core):
         coh = self.directory.peek_block(addr)
@@ -702,7 +708,7 @@ class MgdHome(SparseHome):
             # at block grain (or nowhere) below.
             entry.presence &= ~(1 << offset)
             if entry.presence == 0:
-                self.directory.remove_region(self.directory.region_of(addr))
+                self.directory.remove_region(addr // BLOCKS_PER_REGION)
         if truth.is_idle:
             if coh is None:
                 return "mgd:already-absent"

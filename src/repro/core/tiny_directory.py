@@ -181,15 +181,15 @@ class TinyDirectory:
         self.evictions = 0
         self.declined = 0
 
-    def _locate(self, addr: int) -> "tuple[_TinySlice, int]":
-        slice_ = self._slices[addr % self.num_banks]
-        return slice_, (addr // self.num_banks) % slice_.num_sets
+    # Every method below inlines the slice/set mapping: the slice is the
+    # block's home bank, the set comes from the bank-stripped address.
 
     def lookup(self, addr: int, now: int) -> "TinyEntry | None":
         """Find the entry tracking ``addr``; updates gNRU reuse state."""
-        slice_, set_index = self._locate(addr)
+        num_banks = self.num_banks
+        slice_ = self._slices[addr % num_banks]
         slice_.advance(now)
-        entry = slice_.find(set_index, addr)
+        entry = slice_.find((addr // num_banks) % slice_.num_sets, addr)
         if entry is None:
             self.misses += 1
             return None
@@ -212,7 +212,9 @@ class TinyDirectory:
         caller must transfer to the victim block's LLC line (or spill, or
         back-invalidate).
         """
-        slice_, set_index = self._locate(addr)
+        num_banks = self.num_banks
+        slice_ = self._slices[addr % num_banks]
+        set_index = (addr // num_banks) % slice_.num_sets
         slice_.advance(now)
         gnru = self.policy is AllocationPolicy.DSTRA_GNRU
         way, incumbent = slice_.choose_victim_way(set_index, gnru)
@@ -238,14 +240,16 @@ class TinyDirectory:
         Used for eviction-notice processing, which must not refresh the
         gNRU reuse bit of a dying block.
         """
-        slice_, set_index = self._locate(addr)
-        return slice_.find(set_index, addr)
+        num_banks = self.num_banks
+        slice_ = self._slices[addr % num_banks]
+        return slice_.find((addr // num_banks) % slice_.num_sets, addr)
 
     def remove(self, addr: int) -> "TinyEntry | None":
         """Drop the entry for ``addr`` (block lost its last holder, or its
         state moved elsewhere)."""
-        slice_, set_index = self._locate(addr)
-        ways = slice_.sets[set_index]
+        num_banks = self.num_banks
+        slice_ = self._slices[addr % num_banks]
+        ways = slice_.sets[(addr // num_banks) % slice_.num_sets]
         for way, entry in enumerate(ways):
             if entry is not None and entry.addr == addr:
                 ways[way] = None

@@ -85,46 +85,36 @@ class MultiGrainDirectory:
 
     # Regions and blocks are homed by their *block* bank so that a region
     # entry lives in the slice of its first block's bank; the grain bit
-    # keeps the keys disjoint.
-
-    def _locate(self, key: int, bank: int) -> "tuple[SetAssocArray, int]":
-        slice_ = self._slices[bank]
-        return slice_, slice_.set_index(key)
+    # keeps the keys disjoint. The methods below inline the mapping:
+    #
+    #   block  addr:   slice addr % num_banks,
+    #                  key ((addr // num_banks) << 1) | _BLOCK
+    #   region region: slice (region * BLOCKS_PER_REGION) % num_banks,
+    #                  key (region << 1) | _REGION
+    #
+    # and the set within a slice is ``key % num_sets``.
 
     @staticmethod
     def region_of(addr: int) -> int:
         """Region id of block address ``addr``."""
         return addr // BLOCKS_PER_REGION
 
-    def _block_key(self, addr: int) -> int:
-        return (addr // self.num_banks) << 1 | self._BLOCK
-
-    def _region_key(self, region: int) -> int:
-        return region << 1 | self._REGION
-
-    def _bank_of_block(self, addr: int) -> int:
-        return addr % self.num_banks
-
-    def _bank_of_region(self, region: int) -> int:
-        return (region * BLOCKS_PER_REGION) % self.num_banks
-
     # -- block-grain entries -------------------------------------------
 
     def lookup_block(self, addr: int, touch: bool = True) -> "CohInfo | None":
         """Find a block-grain entry for ``addr``."""
-        slice_, set_index = self._locate(
-            self._block_key(addr), self._bank_of_block(addr)
-        )
-        line = slice_.lookup(set_index, self._block_key(addr), touch=touch)
+        num_banks = self.num_banks
+        slice_ = self._slices[addr % num_banks]
+        key = (addr // num_banks) << 1 | self._BLOCK
+        line = slice_.lookup(key % slice_.num_sets, key, touch=touch)
         return None if line is None else line.payload
 
     def lookup_region(self, addr: int, touch: bool = True) -> "RegionEntry | None":
         """Find the region entry covering ``addr``."""
-        region = self.region_of(addr)
-        slice_, set_index = self._locate(
-            self._region_key(region), self._bank_of_region(region)
-        )
-        line = slice_.lookup(set_index, self._region_key(region), touch=touch)
+        region = addr // BLOCKS_PER_REGION
+        slice_ = self._slices[region * BLOCKS_PER_REGION % self.num_banks]
+        key = region << 1 | self._REGION
+        line = slice_.lookup(key % slice_.num_sets, key, touch=touch)
         return None if line is None else line.payload
 
     def peek_block(self, addr: int) -> "CohInfo | None":
@@ -151,21 +141,22 @@ class MultiGrainDirectory:
 
     def allocate_block(self, addr: int, coh: CohInfo):
         """Install a block entry; returns the victim, see :meth:`_victim`."""
-        slice_, set_index = self._locate(
-            self._block_key(addr), self._bank_of_block(addr)
-        )
+        num_banks = self.num_banks
+        bank = addr % num_banks
+        slice_ = self._slices[bank]
+        key = (addr // num_banks) << 1 | self._BLOCK
         self.allocations += 1
-        evicted = slice_.insert(set_index, self._block_key(addr), coh)
-        return self._victim(evicted, self._bank_of_block(addr))
+        evicted = slice_.insert(key % slice_.num_sets, key, coh)
+        return self._victim(evicted, bank)
 
     def allocate_region(self, region: int, entry: RegionEntry):
         """Install a region entry; returns the victim, see :meth:`_victim`."""
-        slice_, set_index = self._locate(
-            self._region_key(region), self._bank_of_region(region)
-        )
+        bank = region * BLOCKS_PER_REGION % self.num_banks
+        slice_ = self._slices[bank]
+        key = region << 1 | self._REGION
         self.allocations += 1
-        evicted = slice_.insert(set_index, self._region_key(region), entry)
-        return self._victim(evicted, self._bank_of_region(region))
+        evicted = slice_.insert(key % slice_.num_sets, key, entry)
+        return self._victim(evicted, bank)
 
     def _victim(self, evicted, bank: int):
         """Decode an evicted line to ('block', addr, CohInfo) or
@@ -180,18 +171,17 @@ class MultiGrainDirectory:
 
     def remove_block(self, addr: int) -> "CohInfo | None":
         """Drop the block entry for ``addr``."""
-        slice_, set_index = self._locate(
-            self._block_key(addr), self._bank_of_block(addr)
-        )
-        line = slice_.remove(set_index, self._block_key(addr))
+        num_banks = self.num_banks
+        slice_ = self._slices[addr % num_banks]
+        key = (addr // num_banks) << 1 | self._BLOCK
+        line = slice_.remove(key % slice_.num_sets, key)
         return None if line is None else line.payload
 
     def remove_region(self, region: int) -> "RegionEntry | None":
         """Drop the region entry for ``region``."""
-        slice_, set_index = self._locate(
-            self._region_key(region), self._bank_of_region(region)
-        )
-        line = slice_.remove(set_index, self._region_key(region))
+        slice_ = self._slices[region * BLOCKS_PER_REGION % self.num_banks]
+        key = region << 1 | self._REGION
+        line = slice_.remove(key % slice_.num_sets, key)
         return None if line is None else line.payload
 
     def occupancy(self) -> int:

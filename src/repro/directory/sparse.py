@@ -67,14 +67,14 @@ class SparseDirectory:
         self.allocations = 0
         self.evictions = 0
 
-    def _locate(self, addr: int) -> "tuple[SetAssocArray, int]":
-        slice_ = self._slices[addr % self.num_banks]
-        return slice_, slice_.set_index(addr // self.num_banks)
+    # Every method below inlines the slice/set mapping: the slice is the
+    # block's home bank, the set comes from the bank-stripped address.
 
     def lookup(self, addr: int, touch: bool = True) -> "CohInfo | None":
         """Return the tracking info for ``addr``, or None when untracked."""
-        slice_, set_index = self._locate(addr)
-        line = slice_.lookup(set_index, addr, touch=touch)
+        num_banks = self.num_banks
+        slice_ = self._slices[addr % num_banks]
+        line = slice_.lookup((addr // num_banks) % slice_.num_sets, addr, touch=touch)
         if line is None:
             self.misses += 1
             return None
@@ -87,8 +87,9 @@ class SparseDirectory:
         Used by the invariant checkers and the fault injector so that
         auditing a run never perturbs its statistics.
         """
-        slice_, set_index = self._locate(addr)
-        line = slice_.lookup(set_index, addr, touch=False)
+        num_banks = self.num_banks
+        slice_ = self._slices[addr % num_banks]
+        line = slice_.lookup((addr // num_banks) % slice_.num_sets, addr, touch=False)
         return None if line is None else line.payload
 
     def allocate(self, addr: int, coh: CohInfo) -> "tuple[int, CohInfo] | None":
@@ -97,8 +98,9 @@ class SparseDirectory:
         Returns the evicted ``(addr, CohInfo)`` pair when a victim entry
         had to be replaced; the caller must invalidate its private copies.
         """
-        slice_, set_index = self._locate(addr)
-        evicted = slice_.insert(set_index, addr, coh)
+        num_banks = self.num_banks
+        slice_ = self._slices[addr % num_banks]
+        evicted = slice_.insert((addr // num_banks) % slice_.num_sets, addr, coh)
         self.allocations += 1
         if evicted is None:
             return None
@@ -107,8 +109,9 @@ class SparseDirectory:
 
     def remove(self, addr: int) -> "CohInfo | None":
         """Drop the entry for ``addr`` (block has no private copies left)."""
-        slice_, set_index = self._locate(addr)
-        line = slice_.remove(set_index, addr)
+        num_banks = self.num_banks
+        slice_ = self._slices[addr % num_banks]
+        line = slice_.remove((addr // num_banks) % slice_.num_sets, addr)
         return None if line is None else line.payload
 
     def occupancy(self) -> int:

@@ -17,19 +17,14 @@ import math
 from repro.errors import ConfigError
 
 
-#: Largest mesh for which full distance/latency tables are precomputed
-#: (``num_tiles**2`` entries each; 2048 tiles -> 4M-entry tables). The
-#: paper's largest machine is 128 tiles, so the fallback to computed
-#: distances exists only for pathological configurations.
-_TABLE_TILE_LIMIT = 2048
-
-
 class Mesh2D:
     """A ``width x height`` mesh of tiles with XY-routing distances.
 
     Distances and latencies between all tile pairs are precomputed into
-    flat tables at construction (the lookups are on the home-controller
-    critical path of every LLC transaction).
+    flat tables at construction, indexed ``[src * num_tiles + dst]``. The
+    home controllers read the latency table directly on every LLC
+    transaction. ``num_tiles**2`` entries per table is why
+    :class:`~repro.sim.config.SystemConfig` caps machines at 2048 cores.
 
     Args:
         num_tiles: total number of tiles; must form a rectangle no more
@@ -86,17 +81,13 @@ class Mesh2D:
         self._mc_latency = [d * hop_cycles for d in self._mc_distance]
         # Full pairwise tables, indexed [src * num_tiles + dst]. At the
         # paper's scales (<= 128 tiles) these are at most 16K entries.
-        if num_tiles <= _TABLE_TILE_LIMIT:
-            table = [
-                self._computed_distance(src, dst)
-                for src in range(num_tiles)
-                for dst in range(num_tiles)
-            ]
-            self._distance_table = table
-            self._latency_table = [d * hop_cycles for d in table]
-        else:  # pragma: no cover - pathological configuration
-            self._distance_table = None
-            self._latency_table = None
+        table = [
+            self._computed_distance(src, dst)
+            for src in range(num_tiles)
+            for dst in range(num_tiles)
+        ]
+        self._distance_table = table
+        self._latency_table = [d * hop_cycles for d in table]
 
     def _place_controllers(self, count: int) -> list:
         """Spread controllers across the top and bottom mesh rows."""
@@ -118,15 +109,11 @@ class Mesh2D:
 
     def distance(self, src: int, dst: int) -> int:
         """Manhattan (XY-routing) hop count between two tiles."""
-        if self._distance_table is not None:
-            return self._distance_table[src * self.num_tiles + dst]
-        return self._computed_distance(src, dst)  # pragma: no cover
+        return self._distance_table[src * self.num_tiles + dst]
 
     def latency(self, src: int, dst: int) -> int:
         """One-way message latency in core cycles between two tiles."""
-        if self._latency_table is not None:
-            return self._latency_table[src * self.num_tiles + dst]
-        return self._computed_distance(src, dst) * self.hop_cycles  # pragma: no cover
+        return self._latency_table[src * self.num_tiles + dst]
 
     def memory_latency(self, tile: int) -> int:
         """One-way latency from ``tile`` to its nearest memory controller."""

@@ -42,6 +42,16 @@ BLOCKS_PER_ROW = 16
 class DramModel:
     """Multi-channel open-page DRAM with per-bank row-buffer tracking."""
 
+    __slots__ = (
+        "num_channels",
+        "banks_per_channel",
+        "_open_row",
+        "_channel_free_at",
+        "reads",
+        "writes",
+        "row_hits",
+    )
+
     def __init__(self, num_channels: int = 8, banks_per_channel: int = 8) -> None:
         if num_channels <= 0 or banks_per_channel <= 0:
             raise ConfigError("DRAM channels and banks must be positive")
@@ -67,8 +77,12 @@ class DramModel:
         Returns the access latency in core cycles, including any queueing
         delay behind earlier requests on the same channel.
         """
-        channel, bank, row = self._map(block_addr)
-        key = (channel, bank)
+        # _map, inlined: every LLC miss and dirty writeback lands here.
+        num_channels = self.num_channels
+        row_id = block_addr // BLOCKS_PER_ROW
+        channel = row_id % num_channels
+        key = (channel, (row_id // num_channels) % self.banks_per_channel)
+        row = row_id // (num_channels * self.banks_per_channel)
         open_row = self._open_row.get(key)
         if open_row is None:
             core_latency = ROW_CLOSED_CYCLES

@@ -111,6 +111,12 @@ class StashSpec:
 SchemeSpec = object
 
 
+#: Largest supported machine. ``Mesh2D`` precomputes ``num_cores**2``
+#: pairwise latencies (4M entries at 2048 tiles) that the home
+#: controllers index directly; the paper's largest machine is 128 tiles.
+_MAX_CORES = 2048
+
+
 @dataclass
 class SystemConfig:
     """Full simulated-machine configuration (Table I, scaled by default)."""
@@ -144,6 +150,10 @@ class SystemConfig:
             raise ConfigError("the simulator needs at least two cores")
         if self.num_cores & (self.num_cores - 1):
             raise ConfigError("num_cores must be a power of two")
+        if self.num_cores > _MAX_CORES:
+            raise ConfigError(
+                f"num_cores must be at most {_MAX_CORES}, got {self.num_cores}"
+            )
         if self.llc_capacity_factor <= 0:
             raise ConfigError("llc_capacity_factor must be positive")
         if self.directory_entries(getattr(self.scheme, "ratio", 1.0)) < self.num_banks:

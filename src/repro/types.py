@@ -29,10 +29,11 @@ class AccessKind(enum.Enum):
     WRITE = "write"
     IFETCH = "ifetch"
 
-    @property
-    def is_read(self) -> bool:
-        """True for accesses that do not require exclusive ownership."""
-        return self is not AccessKind.WRITE
+    def __init__(self, value: str) -> None:
+        #: True for accesses that do not require exclusive ownership. A
+        #: member attribute rather than a property: the home controllers
+        #: read it on every transaction.
+        self.is_read = value != "write"
 
 
 class PrivateState(enum.Enum):
@@ -43,10 +44,9 @@ class PrivateState(enum.Enum):
     SHARED = "S"
     INVALID = "I"
 
-    @property
-    def is_exclusive(self) -> bool:
-        """True when the holder owns the only valid private copy."""
-        return self in (PrivateState.MODIFIED, PrivateState.EXCLUSIVE)
+    def __init__(self, value: str) -> None:
+        #: True when the holder owns the only valid private copy (M or E).
+        self.is_exclusive = value in ("M", "E")
 
 
 class LLCState(enum.Enum):

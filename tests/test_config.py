@@ -86,6 +86,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SystemConfig(num_cores=24)
 
+    def test_more_than_2048_cores_rejected(self):
+        # Mesh2D's pairwise latency tables bound the machine size.
+        assert SystemConfig(num_cores=2048).num_cores == 2048
+        with pytest.raises(ConfigError, match="at most 2048"):
+            SystemConfig(num_cores=4096)
+
     def test_negative_llc_factor_rejected(self):
         with pytest.raises(ConfigError):
             SystemConfig(num_cores=4, llc_capacity_factor=-1)

@@ -24,6 +24,14 @@ class TestDramMapping:
         channel_b = dram._map(BLOCKS_PER_ROW)[0]
         assert channel_a != channel_b
 
+    def test_access_opens_the_mapped_row(self):
+        # access() inlines _map; the two must agree on every address.
+        dram = DramModel(num_channels=4, banks_per_channel=2)
+        for addr in range(0, 40 * BLOCKS_PER_ROW, 7):
+            dram.access(addr, now=addr)
+            channel, bank, row = dram._map(addr)
+            assert dram._open_row[(channel, bank)] == row
+
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ConfigError):
             DramModel(num_channels=0)

@@ -1,5 +1,7 @@
 """Unit tests for interconnect traffic accounting."""
 
+import pickle
+
 from repro.interconnect.traffic import (
     CONTROL_BYTES,
     DATA_BYTES,
@@ -69,3 +71,47 @@ class TestTrafficMeter:
 
     def test_data_message_carries_block_plus_header(self):
         assert DATA_BYTES == 64 + CONTROL_BYTES
+
+
+class TestCounterSlots:
+    """The meter's list counters are indexed by ``MessageClass.slot``."""
+
+    def test_every_class_has_a_distinct_slot(self):
+        slots = [cls.slot for cls in MessageClass]
+        assert sorted(slots) == list(range(len(MessageClass)))
+
+    def test_dump_key_order_is_unchanged(self):
+        order = ["processor", "writeback", "coherence"]
+        meter = TrafficMeter()
+        assert list(meter.as_dict()) == order
+        dump = meter.dump()
+        assert list(dump) == ["bytes", "messages"]
+        assert list(dump["bytes"]) == order
+        assert list(dump["messages"]) == order
+
+    def test_load_dump_roundtrips_every_counter(self):
+        meter = TrafficMeter()
+        for count, cls in enumerate(MessageClass, start=1):
+            meter.control(cls, count=count)
+            meter.data(cls)
+            meter.partial(cls, count=2 * count)
+        assert TrafficMeter.load(meter.dump()).dump() == meter.dump()
+
+    def test_counts_land_in_their_own_class(self):
+        for cls in MessageClass:
+            meter = TrafficMeter()
+            meter.data(cls, count=2)
+            assert meter.dump()["bytes"] == {
+                other.value: 2 * DATA_BYTES if other is cls else 0
+                for other in MessageClass
+            }
+            assert meter.messages_for(cls) == 2
+
+    def test_pickle_keeps_counters_and_slots(self):
+        meter = TrafficMeter()
+        meter.control(MessageClass.WRITEBACK, count=3)
+        clone = pickle.loads(pickle.dumps(meter))
+        assert clone.dump() == meter.dump()
+        assert pickle.loads(pickle.dumps(MessageClass.COHERENCE)).slot == (
+            MessageClass.COHERENCE.slot
+        )

@@ -1,5 +1,9 @@
 """Unit tests for the common value types."""
 
+import pickle
+
+import pytest
+
 from repro.types import (
     Access,
     AccessKind,
@@ -34,6 +38,39 @@ class TestPrivateState:
 
     def test_invalid_not_exclusive(self):
         assert not PrivateState.INVALID.is_exclusive
+
+
+class TestMemberPredicates:
+    """``is_read`` / ``is_exclusive`` are plain member attributes; result
+    pickles (sweep workers) must bring back members that still carry them."""
+
+    IS_READ = {
+        AccessKind.READ: True,
+        AccessKind.WRITE: False,
+        AccessKind.IFETCH: True,
+    }
+    IS_EXCLUSIVE = {
+        PrivateState.MODIFIED: True,
+        PrivateState.EXCLUSIVE: True,
+        PrivateState.SHARED: False,
+        PrivateState.INVALID: False,
+    }
+
+    def test_tables_cover_every_member(self):
+        assert set(self.IS_READ) == set(AccessKind)
+        assert set(self.IS_EXCLUSIVE) == set(PrivateState)
+
+    @pytest.mark.parametrize("kind", list(AccessKind))
+    def test_is_read_truth_table(self, kind):
+        assert kind.is_read is self.IS_READ[kind]
+        clone = pickle.loads(pickle.dumps(kind))
+        assert clone is kind and clone.is_read is self.IS_READ[kind]
+
+    @pytest.mark.parametrize("state", list(PrivateState))
+    def test_is_exclusive_truth_table(self, state):
+        assert state.is_exclusive is self.IS_EXCLUSIVE[state]
+        clone = pickle.loads(pickle.dumps(state))
+        assert clone is state and clone.is_exclusive is self.IS_EXCLUSIVE[state]
 
 
 class TestAddressConversion:
