@@ -6,14 +6,20 @@ changes neither the hop counts nor the directory pressure that drive the
 paper's results, and it keeps invalidation handling simple). Evictions
 from the L2 are notified to the home LLC bank for every state, per the
 paper's baseline protocol [29].
+
+Each level is a dict from set index to the list of block addresses
+resident in that set, in LRU order (MRU last); a set appears on its first
+fill and is never deleted. The L2's MESI states live in one per-core dict
+keyed by block address, so ``addr in state`` is the L2 presence test. A
+lookup is a C-level ``addr in lines`` or one dict probe, a recency touch
+is ``remove`` + ``append``, and the LRU victim is ``pop(0)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cache.sets import SetAssocArray
-from repro.errors import ProtocolError
+from repro.errors import ConfigError, ProtocolError
 from repro.types import AccessKind, PrivateState
 
 
@@ -46,7 +52,10 @@ class ProbeResult:
 class PrivateCore:
     """The private cache hierarchy of one core."""
 
-    __slots__ = ("core_id", "il1", "dl1", "l2")
+    __slots__ = (
+        "core_id", "il1", "dl1", "l2", "state",
+        "l1_sets", "l1_assoc", "l2_sets", "l2_assoc",
+    )
 
     def __init__(
         self,
@@ -56,10 +65,21 @@ class PrivateCore:
         l2_sets: int,
         l2_assoc: int,
     ) -> None:
+        if min(l1_sets, l1_assoc, l2_sets, l2_assoc) <= 0:
+            raise ConfigError(
+                f"private cache sets and ways must be positive, got L1 "
+                f"{l1_sets}x{l1_assoc}, L2 {l2_sets}x{l2_assoc}"
+            )
         self.core_id = core_id
-        self.il1 = SetAssocArray(l1_sets, l1_assoc, "lru")
-        self.dl1 = SetAssocArray(l1_sets, l1_assoc, "lru")
-        self.l2 = SetAssocArray(l2_sets, l2_assoc, "lru")
+        self.l1_sets = l1_sets
+        self.l1_assoc = l1_assoc
+        self.l2_sets = l2_sets
+        self.l2_assoc = l2_assoc
+        self.il1: "dict[int, list[int]]" = {}
+        self.dl1: "dict[int, list[int]]" = {}
+        self.l2: "dict[int, list[int]]" = {}
+        #: MESI state of every block resident in the L2.
+        self.state: "dict[int, PrivateState]" = {}
 
     # ------------------------------------------------------------------
     # Lookup path
@@ -78,50 +98,37 @@ class PrivateCore:
         The fast-lane twin of :meth:`probe` — identical side effects
         (recency touches in both levels, L1 promotion on an L2 hit, the
         silent E->M write upgrade, the inclusion check) but an int code
-        instead of a :class:`ProbeResult` allocation. This is the single
-        hottest call in the simulator, so the per-level LRU lookups of
-        :meth:`SetAssocArray.lookup` are inlined (the private arrays are
-        always LRU).
+        instead of a :class:`ProbeResult` allocation. A lookup is one
+        state-dict probe for the L2 plus a C-level scan of the L1 set's
+        at most ``l1_assoc`` addresses.
 
         Codes: ``MISS`` (0), ``L1_HIT`` (1), ``L2_HIT`` (2, promoted
         into the L1), ``UPGRADE_L1``/``UPGRADE_L2`` (3/4: held in S but
         the access is a write, so the home must serve an upgrade).
         """
         l1 = self.il1 if kind is AccessKind.IFETCH else self.dl1
-        lines = l1._sets.get(addr % l1.num_sets)
-        l1_line = None
-        if lines:
-            for position, line in enumerate(lines):
-                if line.tag == addr:
-                    if position != len(lines) - 1:
-                        del lines[position]
-                        lines.append(line)
-                    l1_line = line
-                    break
-        l2 = self.l2
-        lines = l2._sets.get(addr % l2.num_sets)
-        l2_line = None
-        if lines:
-            for position, line in enumerate(lines):
-                if line.tag == addr:
-                    if position != len(lines) - 1:
-                        del lines[position]
-                        lines.append(line)
-                    l2_line = line
-                    break
-        if l2_line is None:
-            if l1_line is not None:
+        lines = l1.get(addr % self.l1_sets, ())
+        in_l1 = addr in lines
+        state = self.state.get(addr)
+        if state is None:
+            if in_l1:
                 raise ProtocolError(
                     f"core {self.core_id}: block {addr:#x} in L1 but not L2"
                 )
             return 0
-        state = l2_line.payload
+        if in_l1 and lines[-1] != addr:
+            lines.remove(addr)
+            lines.append(addr)
+        lines = self.l2[addr % self.l2_sets]
+        if lines[-1] != addr:
+            lines.remove(addr)
+            lines.append(addr)
         if kind is AccessKind.WRITE:
             if state is PrivateState.SHARED:
-                return 3 if l1_line is not None else 4
+                return 3 if in_l1 else 4
             if state is PrivateState.EXCLUSIVE:
-                l2_line.payload = PrivateState.MODIFIED
-        if l1_line is not None:
+                self.state[addr] = PrivateState.MODIFIED
+        if in_l1:
             return 1
         # L2 hit: promote into L1 (inclusive, so no notice is needed for
         # the L1 victim -- the L2 still holds it).
@@ -146,8 +153,15 @@ class PrivateCore:
             return ProbeResult("l2", needs_upgrade=True)
         return ProbeResult("l1" if code == 1 else "l2")
 
-    def _l1_fill(self, l1: SetAssocArray, addr: int) -> None:
-        l1.insert(addr % l1.num_sets, addr, None)
+    def _l1_fill(self, l1: "dict[int, list[int]]", addr: int) -> None:
+        index = addr % self.l1_sets
+        lines = l1.get(index)
+        if lines is None:
+            l1[index] = [addr]
+            return
+        if len(lines) >= self.l1_assoc:
+            del lines[0]
+        lines.append(addr)
 
     # ------------------------------------------------------------------
     # Fill and state-change paths (driven by the home controller)
@@ -156,29 +170,34 @@ class PrivateCore:
     def fill(self, addr: int, kind: AccessKind, state: PrivateState) -> "list[EvictionNotice]":
         """Install a block granted in ``state``; returns eviction notices.
 
-        At most one L2 victim is produced; its L1 copies are removed to
-        preserve inclusion.
+        The block must not be resident. At most one L2 victim is
+        produced; its L1 copies are removed to preserve inclusion.
         """
         if state is PrivateState.INVALID:
             raise ProtocolError("cannot fill a block in state I")
         notices = []
-        evicted = self.l2.insert(addr % self.l2.num_sets, addr, state)
-        if evicted is not None:
-            self._drop_from_l1s(evicted.tag)
-            notices.append(EvictionNotice(evicted.tag, evicted.payload))
-        l1 = self.il1 if kind is AccessKind.IFETCH else self.dl1
-        self._l1_fill(l1, addr)
+        index = addr % self.l2_sets
+        lines = self.l2.get(index)
+        if lines is None:
+            self.l2[index] = [addr]
+        else:
+            if len(lines) >= self.l2_assoc:
+                victim = lines.pop(0)
+                self._drop_from_l1s(victim)
+                notices.append(EvictionNotice(victim, self.state.pop(victim)))
+            lines.append(addr)
+        self.state[addr] = state
+        self._l1_fill(self.il1 if kind is AccessKind.IFETCH else self.dl1, addr)
         return notices
 
     def complete_upgrade(self, addr: int) -> None:
         """Transition a block held in S to M after an upgrade response."""
-        line = self.l2.lookup(addr % self.l2.num_sets, addr, touch=False)
-        if line is None or line.payload is not PrivateState.SHARED:
+        if self.state.get(addr) is not PrivateState.SHARED:
             raise ProtocolError(
                 f"core {self.core_id}: upgrade completion for block {addr:#x} "
                 f"not held in S"
             )
-        line.payload = PrivateState.MODIFIED
+        self.state[addr] = PrivateState.MODIFIED
 
     def invalidate(self, addr: int) -> PrivateState:
         """Invalidate a block everywhere in this hierarchy.
@@ -187,11 +206,11 @@ class PrivateCore:
         block was not present, which callers treat as a stale-tracker
         protocol error where appropriate).
         """
-        line = self.l2.remove(addr % self.l2.num_sets, addr)
+        prior = self.state.pop(addr, None)
+        if prior is not None:
+            self.l2[addr % self.l2_sets].remove(addr)
         self._drop_from_l1s(addr)
-        if line is None:
-            return PrivateState.INVALID
-        return line.payload
+        return PrivateState.INVALID if prior is None else prior
 
     def downgrade(self, addr: int) -> PrivateState:
         """Downgrade an exclusively held block to S (intervention).
@@ -199,19 +218,21 @@ class PrivateCore:
         Returns the prior state (M or E) so the caller can account for a
         dirty writeback.
         """
-        line = self.l2.lookup(addr % self.l2.num_sets, addr, touch=False)
-        if line is None or not line.payload.is_exclusive:
+        prior = self.state.get(addr)
+        if prior is None or not prior.is_exclusive:
             raise ProtocolError(
                 f"core {self.core_id}: downgrade of block {addr:#x} "
                 f"not held exclusively"
             )
-        prior = line.payload
-        line.payload = PrivateState.SHARED
+        self.state[addr] = PrivateState.SHARED
         return prior
 
     def _drop_from_l1s(self, addr: int) -> None:
-        self.il1.remove(addr % self.il1.num_sets, addr)
-        self.dl1.remove(addr % self.dl1.num_sets, addr)
+        index = addr % self.l1_sets
+        for l1 in (self.il1, self.dl1):
+            lines = l1.get(index, ())
+            if addr in lines:
+                lines.remove(addr)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -219,16 +240,16 @@ class PrivateCore:
 
     def state_of(self, addr: int) -> PrivateState:
         """The MESI state of ``addr`` in this hierarchy (I if absent)."""
-        line = self.l2.lookup(addr % self.l2.num_sets, addr, touch=False)
-        if line is None:
-            return PrivateState.INVALID
-        return line.payload
+        return self.state.get(addr, PrivateState.INVALID)
 
     def holds(self, addr: int) -> bool:
         """True when the block is valid anywhere in this hierarchy."""
-        return self.state_of(addr) is not PrivateState.INVALID
+        return addr in self.state
 
     def resident_blocks(self):
-        """Yield (addr, state) for every valid block (for invariants)."""
-        for _, line in self.l2.iter_lines():
-            yield line.tag, line.payload
+        """Yield (addr, state) for every valid block (for invariants):
+        L2 sets in first-use order, each set's blocks in LRU order."""
+        state = self.state
+        for lines in self.l2.values():
+            for addr in lines:
+                yield addr, state[addr]

@@ -1,12 +1,10 @@
-"""Generic set-associative array with LRU or 1-bit NRU replacement.
+"""Generic set-associative array with 1-bit NRU replacement.
 
-This array is used for the baseline sparse directory, the tiny directory
-slices, and the per-core private caches. Lines carry an arbitrary payload;
-the array only manages placement, lookup, and victim selection.
-
-Recency is represented by list order within a set (MRU at the end), which
-is both simple and fast at the small associativities used here (8/16-way,
-or fully associative slices of at most 64 entries).
+This array backs the sparse directory slices and the multi-grain (MgD)
+directory slices, both NRU per the paper's Table I. Lines carry an
+arbitrary payload; the array only manages placement, lookup, and victim
+selection. (The per-core private caches are LRU and keep their own
+address lists, see :mod:`repro.cache.private_cache`.)
 """
 
 from __future__ import annotations
@@ -17,8 +15,7 @@ from repro.errors import ConfigError
 class Line:
     """One array line: a tag plus a caller-defined payload.
 
-    ``nru_ref`` is the 1-bit NRU reference bit; it is only meaningful when
-    the owning array uses NRU replacement.
+    ``nru_ref`` is the 1-bit NRU reference bit.
     """
 
     __slots__ = ("tag", "payload", "nru_ref")
@@ -33,27 +30,24 @@ class Line:
 
 
 class SetAssocArray:
-    """A set-associative array of :class:`Line` objects.
+    """A set-associative array of :class:`Line` objects with 1-bit
+    not-recently-used replacement (the paper's sparse-directory policy,
+    Table I).
 
     Args:
         num_sets: number of sets; 1 makes the array fully associative.
         assoc: number of ways per set.
-        replacement: ``"lru"`` or ``"nru"`` (1-bit not-recently-used, the
-            paper's sparse-directory policy, Table I).
     """
 
-    __slots__ = ("num_sets", "assoc", "replacement", "_sets")
+    __slots__ = ("num_sets", "assoc", "_sets")
 
-    def __init__(self, num_sets: int, assoc: int, replacement: str = "lru") -> None:
+    def __init__(self, num_sets: int, assoc: int) -> None:
         if num_sets <= 0 or assoc <= 0:
             raise ConfigError(
                 f"num_sets and assoc must be positive, got {num_sets}x{assoc}"
             )
-        if replacement not in ("lru", "nru"):
-            raise ConfigError(f"unknown replacement policy {replacement!r}")
         self.num_sets = num_sets
         self.assoc = assoc
-        self.replacement = replacement
         self._sets: "dict[int, list[Line]]" = {}
 
     def set_index(self, key: int) -> int:
@@ -61,27 +55,21 @@ class SetAssocArray:
         return key % self.num_sets
 
     def set_lines(self, set_index: int) -> "list[Line]":
-        """The lines currently resident in ``set_index`` (MRU last)."""
+        """The lines currently resident in ``set_index``, in way order."""
         return self._sets.get(set_index, [])
 
     def lookup(self, set_index: int, tag: int, touch: bool = True) -> "Line | None":
         """Find the line with ``tag`` in ``set_index``.
 
-        When ``touch`` is true the line's recency state is updated (moved
-        to MRU for LRU; reference bit set for NRU).
+        When ``touch`` is true the line's reference bit is set.
         """
         lines = self._sets.get(set_index)
         if not lines:
             return None
-        for position, line in enumerate(lines):
+        for line in lines:
             if line.tag == tag:
                 if touch:
-                    if self.replacement == "lru":
-                        if position != len(lines) - 1:
-                            del lines[position]
-                            lines.append(line)
-                    else:
-                        line.nru_ref = True
+                    line.nru_ref = True
                 return line
         return None
 
@@ -91,8 +79,6 @@ class SetAssocArray:
         lines = self._sets.get(set_index)
         if lines is None or len(lines) < self.assoc:
             return None
-        if self.replacement == "lru":
-            return lines[0]
         for line in lines:
             if not line.nru_ref:
                 return line
@@ -110,11 +96,8 @@ class SetAssocArray:
         lines = self._sets.setdefault(set_index, [])
         evicted = None
         if len(lines) >= self.assoc:
-            if self.replacement == "lru":
-                evicted = lines.pop(0)
-            else:
-                evicted = self.choose_victim(set_index)
-                lines.remove(evicted)
+            evicted = self.choose_victim(set_index)
+            lines.remove(evicted)
         lines.append(Line(tag, payload))
         return evicted
 

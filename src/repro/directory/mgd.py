@@ -75,7 +75,7 @@ class MultiGrainDirectory:
         slice_assoc = min(assoc, entries_per_slice)
         num_sets = max(1, entries_per_slice // slice_assoc)
         self._slices = [
-            SetAssocArray(num_sets, slice_assoc, "nru")
+            SetAssocArray(num_sets, slice_assoc)
             for _ in range(num_banks)
         ]
         self.hits = 0

@@ -41,7 +41,6 @@ class SparseDirectory:
         total_entries: int,
         num_banks: int,
         assoc: int = 8,
-        replacement: str = "nru",
     ) -> None:
         if total_entries < num_banks:
             raise ConfigError(
@@ -59,7 +58,7 @@ class SparseDirectory:
             num_sets = max(1, entries_per_slice // slice_assoc)
         self.slice_assoc = slice_assoc
         self._slices = [
-            SetAssocArray(num_sets, slice_assoc, replacement)
+            SetAssocArray(num_sets, slice_assoc)
             for _ in range(num_banks)
         ]
         self.hits = 0

@@ -207,12 +207,13 @@ class TraceEngine:
         """The fast lane: private hits short-circuit inside the loop.
 
         Mirrors :meth:`repro.sim.system.System._access` exactly, but a
-        private hit costs two inlined LRU lookups and a handful of
-        local-variable updates — no ProbeResult allocation, no per-access
-        stats method calls, no home dispatch. The inlined lookup is the
-        literal twin of :meth:`PrivateCore.classify` (same recency
-        touches, same L1 promotion, same silent E->M upgrade, same
-        inclusion check); the bit-identity tests in
+        private hit costs a C-level scan of the L1 set's addresses, one
+        probe of the core's L2 state dict, the two recency touches and a
+        handful of local-variable updates — no ProbeResult allocation, no
+        per-access stats method calls, no home dispatch. The inlined
+        lookup is the literal twin of :meth:`PrivateCore.classify`
+        (same recency touches, same L1 promotion, same silent E->M
+        upgrade, same inclusion check); the bit-identity tests in
         ``tests/test_fastpath.py`` pin the two against each other. The
         batched counters commute with everything the miss path touches,
         so flushing them at the warmup boundary and at end of trace
@@ -237,20 +238,15 @@ class TraceEngine:
         handle_eviction = home.handle_private_eviction
         on_outcome = stats.on_outcome
         heappop = heapq.heappop
-        heappush = heapq.heappush
-        # Per-core lookup tables: (il1_sets, dl1_sets, l1_num_sets,
-        # l2_sets, l2_num_sets, core). The L1s share one geometry.
+        heapreplace = heapq.heapreplace
+        # Per-core lookup tables: (il1, dl1, l2, l2 states, core).
         core_tables = [
-            (
-                core.il1._sets,
-                core.dl1._sets,
-                core.dl1.num_sets,
-                core.l2._sets,
-                core.l2.num_sets,
-                core,
-            )
-            for core in cores
+            (core.il1, core.dl1, core.l2, core.state, core) for core in cores
         ]
+        # Every core shares one geometry.
+        l1_num_sets = config.l1_sets
+        l1_assoc = config.l1_assoc
+        l2_num_sets = config.l2_sets
         total = sum(len(stream) for stream in streams)
         warmup_left = int(total * self.warmup_fraction)
         if total and warmup_left >= total:
@@ -265,9 +261,9 @@ class TraceEngine:
         measure_start = 0
         processed = 0
         # Batched access counters (flushed into stats below).
-        accesses = reads = writes = ifetches = l1_hits = l2_hits = 0
+        reads = writes = ifetches = l1_hits = l2_hits = 0
         while heap:
-            clock, core_id, index = heappop(heap)
+            clock, core_id, index = heap[0]
             stream = streams[core_id]
             acc = stream[index]
             issue_time = clock + acc.gap
@@ -277,7 +273,6 @@ class TraceEngine:
                     f"access from core {acc_core} outside the system"
                 )
             kind = acc.kind
-            accesses += 1
             is_ifetch = False
             if kind is read_kind:
                 reads += 1
@@ -287,51 +282,41 @@ class TraceEngine:
                 ifetches += 1
                 is_ifetch = True
             addr = acc.addr
-            il1_sets, dl1_sets, l1_num_sets, l2_sets, l2_num_sets, core = (
-                core_tables[acc_core]
-            )
+            il1, dl1, l2, l2_state, core = core_tables[acc_core]
             # -- inlined PrivateCore.classify ---------------------------
-            lines = (il1_sets if is_ifetch else dl1_sets).get(
-                addr % l1_num_sets
-            )
-            l1_line = None
-            if lines:
-                for position, line in enumerate(lines):
-                    if line.tag == addr:
-                        if position != len(lines) - 1:
-                            del lines[position]
-                            lines.append(line)
-                        l1_line = line
-                        break
-            lines = l2_sets.get(addr % l2_num_sets)
-            l2_line = None
-            if lines:
-                for position, line in enumerate(lines):
-                    if line.tag == addr:
-                        if position != len(lines) - 1:
-                            del lines[position]
-                            lines.append(line)
-                        l2_line = line
-                        break
+            l1 = il1 if is_ifetch else dl1
+            lines = l1.get(addr % l1_num_sets, ())
+            in_l1 = addr in lines
+            state = l2_state.get(addr)
             code = 0
-            if l2_line is None:
-                if l1_line is not None:
+            if state is None:
+                if in_l1:
                     raise ProtocolError(
                         f"core {acc_core}: block {addr:#x} in L1 but not L2"
                     )
             else:
-                state = l2_line.payload
+                if in_l1 and lines[-1] != addr:
+                    lines.remove(addr)
+                    lines.append(addr)
+                l2_lines = l2[addr % l2_num_sets]
+                if l2_lines[-1] != addr:
+                    l2_lines.remove(addr)
+                    l2_lines.append(addr)
                 if kind is write_kind and state is shared_state:
-                    code = 3 if l1_line is not None else 4
+                    code = 3 if in_l1 else 4
                 else:
                     if kind is write_kind and state is exclusive_state:
-                        l2_line.payload = modified_state
-                    if l1_line is not None:
+                        l2_state[addr] = modified_state
+                    if in_l1:
                         code = 1
                     else:
-                        core._l1_fill(
-                            core.il1 if is_ifetch else core.dl1, addr
-                        )
+                        # L2 hit: promote into the L1.
+                        if not lines:
+                            l1[addr % l1_num_sets] = [addr]
+                        else:
+                            if len(lines) >= l1_assoc:
+                                del lines[0]
+                            lines.append(addr)
                         code = 2
             # -- end inlined classify -----------------------------------
             if code == 1:  # L1 hit
@@ -363,14 +348,18 @@ class TraceEngine:
             if warmup_left and processed == warmup_left:
                 # stats.reset() zeroes every counter, so the batch is
                 # dropped rather than flushed.
-                accesses = reads = writes = ifetches = 0
+                reads = writes = ifetches = 0
                 l1_hits = l2_hits = 0
                 stats.reset()
                 measure_start = finish
             index += 1
             if index < len(stream):
-                heappush(heap, (done, core_id, index))
-        stats.accesses += accesses
+                # Entries are unique, so replacing the head in place pops
+                # in the same order as a pop followed by a push.
+                heapreplace(heap, (done, core_id, index))
+            else:
+                heappop(heap)
+        stats.accesses += reads + writes + ifetches
         stats.reads += reads
         stats.writes += writes
         stats.ifetches += ifetches

@@ -131,3 +131,45 @@ class TestStash:
 
     def test_invariants_after_fuzz(self):
         self.small_stash().fuzz(2500)
+
+
+class TestExtraLatencyReachesOutcome:
+    """Stash broadcast recovery and MgD region demotion each add a
+    penalty to the access that triggers them. Each serve path then
+    overwrites ``out.latency``, so today neither penalty reaches the
+    access latency. The fix moves golden numbers, so it waits for the
+    paper-claims suite (ROADMAP item 5); this test pins the bug."""
+
+    @staticmethod
+    def stash_extra_latency():
+        """(measured, expected) extra latency of a broadcast recovery."""
+        plain = Driver(make_system(StashSpec(ratio=1 / 16)))
+        stashed = Driver(make_system(StashSpec(ratio=1 / 16)))
+        for addr in range(0, 120 * 64, 64):
+            stashed.read(0, addr)
+        target = next(iter(stashed.system.home.stash._stashed))
+        plain.read(0, target)  # core 0 owns it, tracked in the directory
+        mesh = stashed.system.mesh
+        penalty = 2 * (mesh.width - 1 + mesh.height - 1) * mesh.hop_cycles
+        return stashed.read(1, target) - plain.read(1, target), penalty
+
+    @staticmethod
+    def mgd_extra_latency():
+        """(measured, expected) extra latency of a region demotion."""
+        region_base = BLOCKS_PER_REGION * 4
+        plain = Driver(make_system(MgdSpec(ratio=1 / 4)))
+        plain.read(0, region_base)
+        # Core 2 demotes core 0's region before the measured access, so
+        # core 0's block already has a block-grain entry.
+        plain.read(2, region_base + 1)
+        assert plain.system.home.directory.lookup_block(region_base, touch=False)
+        demoted = Driver(make_system(MgdSpec(ratio=1 / 4)))
+        demoted.read(0, region_base)
+        penalty = demoted.system.config.llc_tag_latency
+        return demoted.read(1, region_base) - plain.read(1, region_base), penalty
+
+    @pytest.mark.xfail(strict=True, reason="serve paths overwrite out.latency")
+    def test_stash_and_mgd_penalties_reach_access_latency(self):
+        stash_extra, stash_penalty = self.stash_extra_latency()
+        mgd_extra, mgd_penalty = self.mgd_extra_latency()
+        assert (stash_extra, mgd_extra) == (stash_penalty, mgd_penalty)

@@ -1,9 +1,12 @@
 """Unit tests for the per-core private hierarchy."""
 
-import pytest
+from collections import OrderedDict
 
-from repro.cache.private_cache import PrivateCore
-from repro.errors import ProtocolError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.cache.private_cache import EvictionNotice, PrivateCore
+from repro.errors import ConfigError, ProtocolError
 from repro.types import AccessKind, PrivateState
 
 
@@ -119,3 +122,220 @@ class TestStateChanges:
         core.fill(2, AccessKind.WRITE, PrivateState.MODIFIED)
         resident = dict(core.resident_blocks())
         assert resident == {1: PrivateState.SHARED, 2: PrivateState.MODIFIED}
+
+
+class TestGeometry:
+    @pytest.mark.parametrize(
+        "geometry", [(0, 2, 4, 2), (2, 0, 4, 2), (2, 2, 0, 2), (2, 2, 4, 0)]
+    )
+    def test_zero_sets_or_ways_rejected(self, geometry):
+        with pytest.raises(ConfigError):
+            PrivateCore(0, *geometry)
+
+
+class TestLRU:
+    """The L2 (and each L1) replaces its least recently used block."""
+
+    def test_evicts_least_recently_used(self):
+        core = make_core(l2_sets=1, l2_assoc=2)
+        core.fill(1, AccessKind.READ, PrivateState.SHARED)
+        core.fill(2, AccessKind.READ, PrivateState.SHARED)
+        assert [n.addr for n in core.fill(3, AccessKind.READ, PrivateState.SHARED)] == [1]
+
+    def test_lookup_refreshes_recency(self):
+        core = make_core(l2_sets=1, l2_assoc=2)
+        core.fill(1, AccessKind.READ, PrivateState.SHARED)
+        core.fill(2, AccessKind.READ, PrivateState.SHARED)
+        assert core.classify(1, AccessKind.READ) == PrivateCore.L1_HIT
+        assert [n.addr for n in core.fill(3, AccessKind.READ, PrivateState.SHARED)] == [2]
+
+    def test_untouched_lookup_preserves_order(self):
+        core = make_core(l2_sets=1, l2_assoc=2)
+        core.fill(1, AccessKind.READ, PrivateState.EXCLUSIVE)
+        core.fill(2, AccessKind.READ, PrivateState.SHARED)
+        # Introspection and state changes do not touch recency.
+        assert core.state_of(1) is PrivateState.EXCLUSIVE and core.holds(1)
+        core.downgrade(1)
+        assert [n.addr for n in core.fill(3, AccessKind.READ, PrivateState.SHARED)] == [1]
+
+    def test_no_eviction_with_free_ways(self):
+        core = make_core(l2_sets=1, l2_assoc=4)
+        assert core.fill(1, AccessKind.READ, PrivateState.SHARED) == []
+        assert core.fill(2, AccessKind.READ, PrivateState.SHARED) == []
+
+    def test_l1_evicts_least_recently_used(self):
+        core = make_core(l1_sets=1, l1_assoc=2, l2_sets=4, l2_assoc=2)
+        for addr in (0, 1, 2):
+            core.fill(addr, AccessKind.READ, PrivateState.SHARED)
+        # Block 0 left the L1 (still in the L2); 1 and 2 stayed.
+        assert core.classify(1, AccessKind.READ) == PrivateCore.L1_HIT
+        assert core.classify(0, AccessKind.READ) == PrivateCore.L2_HIT
+        assert core.classify(2, AccessKind.READ) == PrivateCore.L2_HIT
+
+    def test_resident_blocks_in_set_first_use_then_lru_order(self):
+        core = make_core(l2_sets=2, l2_assoc=2)
+        for addr in (3, 2, 1):
+            core.fill(addr, AccessKind.READ, PrivateState.SHARED)
+        core.classify(3, AccessKind.READ)
+        assert [addr for addr, _ in core.resident_blocks()] == [1, 3, 2]
+
+
+KINDS = (AccessKind.READ, AccessKind.WRITE, AccessKind.IFETCH)
+STATES = (
+    PrivateState.MODIFIED,
+    PrivateState.EXCLUSIVE,
+    PrivateState.SHARED,
+    PrivateState.INVALID,
+)
+
+
+class LRUModel:
+    """An explicit reference model: one OrderedDict per set (LRU first),
+    the L2 ones mapping block address to MESI state."""
+
+    def __init__(self, l1_sets, l1_assoc, l2_sets, l2_assoc):
+        self.l1_assoc = l1_assoc
+        self.l2_assoc = l2_assoc
+        self.l1 = {
+            kind: [OrderedDict() for _ in range(l1_sets)]
+            for kind in (AccessKind.IFETCH, AccessKind.READ)
+        }
+        self.l2 = [OrderedDict() for _ in range(l2_sets)]
+        self.set_order = []
+
+    def _l1_set(self, kind, addr):
+        sets = self.l1[AccessKind.IFETCH if kind is AccessKind.IFETCH else AccessKind.READ]
+        return sets[addr % len(sets)]
+
+    def _l2_set(self, addr):
+        return self.l2[addr % len(self.l2)]
+
+    def _l1_fill(self, kind, addr):
+        lines = self._l1_set(kind, addr)
+        if len(lines) >= self.l1_assoc:
+            lines.popitem(last=False)
+        lines[addr] = None
+
+    def _drop_from_l1s(self, addr):
+        for kind in (AccessKind.IFETCH, AccessKind.READ):
+            self._l1_set(kind, addr).pop(addr, None)
+
+    def classify(self, addr, kind):
+        l1 = self._l1_set(kind, addr)
+        l2 = self._l2_set(addr)
+        if addr not in l2:
+            if addr in l1:
+                raise ProtocolError("in L1 but not L2")
+            return PrivateCore.MISS
+        in_l1 = addr in l1
+        if in_l1:
+            l1.move_to_end(addr)
+        l2.move_to_end(addr)
+        if kind is AccessKind.WRITE:
+            if l2[addr] is PrivateState.SHARED:
+                return PrivateCore.UPGRADE_L1 if in_l1 else PrivateCore.UPGRADE_L2
+            if l2[addr] is PrivateState.EXCLUSIVE:
+                l2[addr] = PrivateState.MODIFIED
+        if in_l1:
+            return PrivateCore.L1_HIT
+        self._l1_fill(kind, addr)
+        return PrivateCore.L2_HIT
+
+    def fill(self, addr, kind, state):
+        if state is PrivateState.INVALID:
+            raise ProtocolError("fill in I")
+        l2 = self._l2_set(addr)
+        index = addr % len(self.l2)
+        if index not in self.set_order:
+            self.set_order.append(index)
+        notices = []
+        if len(l2) >= self.l2_assoc:
+            victim, victim_state = l2.popitem(last=False)
+            self._drop_from_l1s(victim)
+            notices.append(EvictionNotice(victim, victim_state))
+        l2[addr] = state
+        self._l1_fill(kind, addr)
+        return notices
+
+    def complete_upgrade(self, addr):
+        l2 = self._l2_set(addr)
+        if l2.get(addr) is not PrivateState.SHARED:
+            raise ProtocolError("upgrade not in S")
+        l2[addr] = PrivateState.MODIFIED
+
+    def invalidate(self, addr):
+        prior = self._l2_set(addr).pop(addr, PrivateState.INVALID)
+        self._drop_from_l1s(addr)
+        return prior
+
+    def downgrade(self, addr):
+        l2 = self._l2_set(addr)
+        prior = l2.get(addr)
+        if prior is None or not prior.is_exclusive:
+            raise ProtocolError("downgrade not exclusive")
+        l2[addr] = PrivateState.SHARED
+        return prior
+
+    def l1_blocks(self, kind):
+        """Each non-empty L1 set's blocks, LRU first."""
+        sets = self.l1[kind]
+        return {index: list(lines) for index, lines in enumerate(sets) if lines}
+
+    def resident_blocks(self):
+        return [
+            (addr, state)
+            for index in self.set_order
+            for addr, state in self.l2[index].items()
+        ]
+
+
+def outcome(call):
+    """A call's result, or the marker of the ProtocolError it raised."""
+    try:
+        return call()
+    except ProtocolError:
+        return ProtocolError
+
+
+operation = st.tuples(
+    st.sampled_from(
+        ["classify", "classify", "classify", "fill", "fill",
+         "invalidate", "downgrade", "complete_upgrade"]
+    ),
+    st.integers(min_value=0, max_value=63).map(lambda a: a % 12 if a < 56 else a),
+    st.sampled_from(KINDS),
+    st.sampled_from(STATES),
+)
+
+
+class TestAgainstModel:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        geometry=st.tuples(
+            st.integers(1, 2), st.integers(1, 2), st.integers(1, 2), st.just(2)
+        ),
+        ops=st.lists(operation, max_size=60),
+    )
+    def test_matches_ordered_dict_lru_model(self, geometry, ops):
+        core = PrivateCore(0, *geometry)
+        model = LRUModel(*geometry)
+        for name, addr, kind, state in ops:
+            if name == "fill":
+                if core.holds(addr):
+                    # A fill is only issued on a miss.
+                    name = "invalidate"
+                args = (addr, kind, state) if name == "fill" else (addr,)
+            elif name == "classify":
+                args = (addr, kind)
+            else:
+                args = (addr,)
+            got = outcome(lambda: getattr(core, name)(*args))
+            want = outcome(lambda: getattr(model, name)(*args))
+            assert got == want, (name, args)
+            for l1, kind in ((core.il1, AccessKind.IFETCH), (core.dl1, AccessKind.READ)):
+                assert {i: lines for i, lines in l1.items() if lines} == model.l1_blocks(kind)
+            resident = model.resident_blocks()
+            assert list(core.resident_blocks()) == resident
+            states = dict(resident)
+            for block in range(64):
+                assert core.state_of(block) is states.get(block, PrivateState.INVALID)

@@ -1,4 +1,8 @@
-"""Unit tests for the generic set-associative array."""
+"""Unit tests for the generic set-associative (NRU) array.
+
+LRU order is covered with the private caches that use it, in
+``tests/test_private_cache.py``.
+"""
 
 import pytest
 
@@ -42,10 +46,6 @@ class TestBasics:
         with pytest.raises(ConfigError):
             SetAssocArray(2, 0)
 
-    def test_invalid_replacement_rejected(self):
-        with pytest.raises(ConfigError):
-            SetAssocArray(2, 2, "fifo")
-
     def test_iter_lines(self):
         array = SetAssocArray(2, 2)
         array.insert(0, 1, None)
@@ -54,45 +54,9 @@ class TestBasics:
         assert tags == {1, 2}
 
 
-class TestLRU:
-    def test_evicts_least_recently_used(self):
-        array = SetAssocArray(1, 2, "lru")
-        array.insert(0, 1, None)
-        array.insert(0, 2, None)
-        evicted = array.insert(0, 3, None)
-        assert evicted.tag == 1
-
-    def test_lookup_refreshes_recency(self):
-        array = SetAssocArray(1, 2, "lru")
-        array.insert(0, 1, None)
-        array.insert(0, 2, None)
-        array.lookup(0, 1)  # 1 becomes MRU
-        evicted = array.insert(0, 3, None)
-        assert evicted.tag == 2
-
-    def test_untouched_lookup_preserves_order(self):
-        array = SetAssocArray(1, 2, "lru")
-        array.insert(0, 1, None)
-        array.insert(0, 2, None)
-        array.lookup(0, 1, touch=False)
-        evicted = array.insert(0, 3, None)
-        assert evicted.tag == 1
-
-    def test_no_eviction_with_free_ways(self):
-        array = SetAssocArray(1, 4, "lru")
-        assert array.insert(0, 1, None) is None
-        assert array.insert(0, 2, None) is None
-
-    def test_choose_victim_matches_insert(self):
-        array = SetAssocArray(1, 2, "lru")
-        array.insert(0, 1, None)
-        array.insert(0, 2, None)
-        assert array.choose_victim(0).tag == 1
-
-
 class TestNRU:
     def test_victimizes_unreferenced_line(self):
-        array = SetAssocArray(1, 3, "nru")
+        array = SetAssocArray(1, 3)
         for tag in range(3):
             array.insert(0, tag, None)
         # Clear all reference bits, then touch tags 0 and 2.
@@ -104,14 +68,14 @@ class TestNRU:
         assert evicted.tag == 1
 
     def test_all_referenced_falls_back_to_first_way(self):
-        array = SetAssocArray(1, 2, "nru")
+        array = SetAssocArray(1, 2)
         array.insert(0, 1, None)
         array.insert(0, 2, None)
         evicted = array.insert(0, 3, None)
         assert evicted.tag == 1
 
     def test_gang_clear_on_saturation(self):
-        array = SetAssocArray(1, 2, "nru")
+        array = SetAssocArray(1, 2)
         array.insert(0, 1, None)
         array.insert(0, 2, None)
         array.choose_victim(0)  # all referenced: clears bits
@@ -119,3 +83,10 @@ class TestNRU:
         # The victim line was not evicted by choose_victim; all bits are
         # now cleared.
         assert all(not line.nru_ref for line in remaining)
+
+    def test_choose_victim_matches_insert(self):
+        array = SetAssocArray(1, 2)
+        array.insert(0, 1, None)
+        array.insert(0, 2, None)
+        assert array.choose_victim(0).tag == 1
+        assert array.insert(0, 3, None).tag == 1
