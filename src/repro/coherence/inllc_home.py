@@ -12,6 +12,14 @@ whose LLC tags carry the tracking state instead, leaving data intact
 :class:`TinyHome` implements Section IV: the in-LLC mechanism augmented
 with a tiny directory that tracks the high-STRA subset of shared blocks,
 and optionally with dynamic spilling of tracking entries into LLC ways.
+
+The MESI transitions are :class:`~repro.coherence.base.BaseHome`'s, shared
+with the sparse family; both controllers here supply only where the
+tracking record lives (the corrupted line, a tiny-directory entry or a
+spilled entry) and its STRA counters, the §IV-C decode cycles of a
+corrupted line, whether the LLC data is valid, the in-LLC forwarder's
+data-carrying ack and block reconstruction, and the ``llc:*`` and
+``tiny:*`` events.
 """
 
 from __future__ import annotations
@@ -51,10 +59,13 @@ class InLLCHome(BaseHome):
             return 0
         return self.config.llc_data_latency + self.config.corrupted_decode_latency
 
-    def _mark_tracked(self, line: LLCLine, bank) -> None:
-        """Move a valid line into the corrupted (tracking) state."""
+    def _mark_tracked(self, line: LLCLine, bank, coh: CohInfo, stra: StraCounters) -> None:
+        """Record ``coh``/``stra`` in ``line`` and move it into the
+        corrupted (tracking) state."""
         if self.observer is not None:
             self.observer.emit("llc:mark_tracked", addr=line.tag)
+        line.coh = coh
+        line.stra = stra
         if self.tag_extended:
             return
         line.underlying_dirty = line.underlying_dirty or line.state is LLCState.DIRTY
@@ -73,12 +84,11 @@ class InLLCHome(BaseHome):
         line.underlying_dirty = False
         bank.data_writes += 1
 
-    def _fill_llc(self, addr: int, now: int) -> LLCLine:
-        bank = self.banks[addr % self.num_banks]
-        line, victim = bank.insert_block(addr, LLCState.CLEAN)
-        if victim is not None:
-            self._handle_llc_victim(victim, now)
-        return line
+    def _track_in_line(self, line: LLCLine, bank, coh: CohInfo) -> None:
+        """Start tracking a freshly granted block in its LLC line."""
+        stra = StraCounters(limit=self.stra_limit)
+        stra.record_other()
+        self._mark_tracked(line, bank, coh, stra)
 
     def _handle_llc_victim(self, victim: LLCLine, now: int) -> None:
         self._flush_residency(victim)
@@ -90,30 +100,18 @@ class InLLCHome(BaseHome):
             self._dram_write(victim.tag, now)
 
     def _evict_tracked_victim(self, victim: LLCLine, now: int) -> None:
-        """Reconstruct and back-invalidate an evicted corrupted block."""
-        addr = victim.tag
-        coh = victim.coh
-        dirty = victim.underlying_dirty
-        holders = coh.holders()
-        if self.observer is not None:
-            self.observer.emit("llc:evict_tracked", cycle=now, addr=addr, holders=holders)
-        had_modified = False
-        for holder in holders:
-            prior = self.cores[holder].invalidate(addr)
-            self.traffic.control(MessageClass.COHERENCE)  # invalidation
-            if prior is PrivateState.MODIFIED:
-                had_modified = True
-                self.traffic.data(MessageClass.COHERENCE)  # data response
-            else:
-                self.traffic.control(MessageClass.COHERENCE)  # ack
-            self.stats.invalidations += 1
-            self.stats.back_invalidations += 1
-        if not self.tag_extended and not had_modified and holders:
+        """Reconstruct and back-invalidate an evicted corrupted block; its
+        dirty data (from a holder or the line) goes to memory once."""
+        had_modified = self._back_invalidate(
+            victim.tag, victim.coh, now, "llc:evict_tracked", to_memory=True
+        )
+        if not self.tag_extended and not had_modified:
             # One holder supplies the borrowed bits for reconstruction.
             self.traffic.partial(MessageClass.COHERENCE)
-        if dirty or had_modified:
-            self._dram_write(addr, now)
-        coh.clear()
+        if not had_modified and (
+            victim.state is LLCState.DIRTY or victim.underlying_dirty
+        ):
+            self._dram_write(victim.tag, now)
 
     # ------------------------------------------------------------------
     # The protocol
@@ -132,167 +130,55 @@ class InLLCHome(BaseHome):
         bank = self.banks[home]
         self.traffic.control(MessageClass.PROCESSOR)
         line, _ = bank.lookup(addr)
-
         if upgrade:
-            if line is None or line.coh is None:
-                raise ProtocolError(f"upgrade for untracked block {addr:#x}")
-            self._record_stra(line, shared_read=False)
-            self._serve_upgrade(core, addr, line, bank, home, now, out)
-            return out
-
-        if line is None:
-            out.latency = self._two_hop(core, home) + self._dram_fetch(addr, now, out)
-            line = self._fill_llc(addr, now)
-            self._take_ownership(core, kind, line, bank, out)
-        elif line.coh is None:
-            out.latency = self._two_hop(core, home)
-            self._take_ownership(core, kind, line, bank, out)
+            self._upgrade_in_line(core, addr, line, bank, home, now, out)
+        elif line is None or line.coh is None:
+            coh, line = self._grant(core, addr, kind, line, home, now, out)
+            self._track_in_line(line, bank, coh)
         else:
-            shared_read = kind.is_read and line.coh.is_shared
-            self._record_stra(line, shared_read)
-            if kind.is_read:
-                line.total_reads += 1
-                if shared_read:
-                    line.fwd_reads += 1
-            if line.coh.is_exclusive:
-                self._serve_tracked_exclusive(core, addr, kind, line, bank, home, now, out)
-            else:
-                self._serve_tracked_shared(core, addr, kind, line, bank, home, now, out)
-            line.note_holders(line.coh)
+            self._serve_in_line(core, addr, kind, line, home, now, out)
         return out
 
-    @staticmethod
-    def _record_stra(line: LLCLine, shared_read: bool) -> None:
-        if line.stra is None:
-            return
-        if shared_read:
-            line.stra.record_shared_read()
-        else:
-            line.stra.record_other()
-
-    def _take_ownership(self, core, kind, line, bank, out) -> None:
-        """A request to an unowned valid block: the requester takes it."""
-        coh = CohInfo()
-        if kind is AccessKind.WRITE:
-            coh.set_owner(core)
-            out.fill_state = PrivateState.MODIFIED
-        elif kind is AccessKind.IFETCH:
-            coh.add_sharer(core)
-            out.fill_state = PrivateState.SHARED
-        else:
-            coh.set_owner(core)
-            out.fill_state = PrivateState.EXCLUSIVE
-        line.coh = coh
-        line.stra = StraCounters(limit=self.stra_limit)
-        line.stra.record_other()
-        self._mark_tracked(line, bank)
-        line.note_holders(coh)
+    def _serve_in_line(self, core, addr, kind, line, home, now, out) -> bool:
+        """Serve a miss to a block tracked in its (corrupted) LLC line;
+        returns whether it was a read to a shared block."""
+        coh = line.coh
+        shared_read = kind.is_read and coh.is_shared
+        if line.stra is not None:
+            if shared_read:
+                line.stra.record_shared_read()
+            else:
+                line.stra.record_other()
         if kind.is_read:
             line.total_reads += 1
-        self.traffic.data(MessageClass.PROCESSOR)
-
-    def _serve_tracked_exclusive(self, core, addr, kind, line, bank, home, now, out) -> None:
-        coh = line.coh
-        owner = coh.owner
-        if owner == core:
-            raise ProtocolError(
-                f"core {core} missed on block {addr:#x} it supposedly owns"
-            )
-        out.hops = 3
-        out.latency = self._three_hop(core, home, owner, self._corrupted_extra(line))
-        self.traffic.control(MessageClass.COHERENCE)  # forward
-        self.traffic.data(MessageClass.PROCESSOR)  # owner -> requester
-        self.traffic.control(MessageClass.COHERENCE)  # busy-clear
-        if kind is AccessKind.WRITE:
-            prior = self.cores[owner].invalidate(addr)
-            if prior is PrivateState.INVALID:
-                raise ProtocolError(f"stale owner for block {addr:#x}")
-            self.stats.invalidations += 1
-            coh.set_owner(core)
-            out.fill_state = PrivateState.MODIFIED
-        else:
-            prior = self.cores[owner].downgrade(addr)
-            if prior is PrivateState.MODIFIED:
-                # Dirty data is deposited in the (corrupted) LLC line's
-                # intact data portion.
-                self.traffic.data(MessageClass.WRITEBACK)
-                line.underlying_dirty = True
-                bank.data_writes += 1
-            coh.add_sharer(core)
-            out.fill_state = PrivateState.SHARED
-
-    def _serve_tracked_shared(self, core, addr, kind, line, bank, home, now, out) -> None:
-        coh = line.coh
+            if shared_read:
+                line.fwd_reads += 1
         extra = self._corrupted_extra(line)
-        if kind is AccessKind.WRITE:
-            holders = coh.sharer_list()
-            forwarder = self._closest_sharer(coh, home)
-            inval_path = self._invalidation_latency(home, holders, core)
-            base = self._three_hop(core, home, forwarder, extra)
-            out.hops = 3
-            out.latency = max(
-                base,
-                self._latency[core * self._tiles + home]
-                + self.config.llc_tag_latency
-                + extra
-                + inval_path,
+        if coh.is_exclusive:
+            # A downgraded M copy's data lands in the line's intact data.
+            self._forward_exclusive(core, addr, kind, coh, home, now, out, extra, line)
+        elif kind is AccessKind.WRITE:
+            self._write_shared(
+                core, addr, coh, home, now, out, False, extra, ack_carries_data=True
             )
-            for holder in holders:
-                prior = self.cores[holder].invalidate(addr)
-                if prior is PrivateState.INVALID:
-                    raise ProtocolError(f"stale sharer for block {addr:#x}")
-                self.stats.invalidations += 1
-                self.traffic.control(MessageClass.COHERENCE)  # invalidation
-                if holder == forwarder:
-                    self.traffic.data(MessageClass.PROCESSOR)  # special ack
-                else:
-                    self.traffic.control(MessageClass.COHERENCE)  # ack
-            coh.set_owner(core)
-            out.fill_state = PrivateState.MODIFIED
         else:
-            if self.tag_extended:
-                # The LLC data is intact: serve in two hops.
-                out.latency = self._two_hop(core, home)
-                self.traffic.data(MessageClass.PROCESSOR)
-            else:
+            if not self.tag_extended:
                 if self.observer is not None:
                     self.observer.emit("llc:lengthened_read", cycle=now, core=core, addr=addr)
-                forwarder = self._closest_sharer(coh, home)
-                out.hops = 3
                 out.lengthened = True
-                out.latency = self._three_hop(core, home, forwarder, extra)
-                self.traffic.control(MessageClass.COHERENCE)
-                self.traffic.data(MessageClass.PROCESSOR)
-                self.traffic.control(MessageClass.COHERENCE)
-            coh.add_sharer(core)
-            out.fill_state = PrivateState.SHARED
+            # Only tag-extended tracking leaves the LLC data intact.
+            self._read_shared(core, coh, home, out, self.tag_extended, extra)
+        line.note_holders(coh)
+        return shared_read
 
-    def _serve_upgrade(self, core, addr, line, bank, home, now, out) -> None:
-        coh = line.coh
-        if not coh.holds(core):
-            raise ProtocolError(
-                f"core {core} upgrades block {addr:#x} it is not recorded "
-                f"sharing"
-            )
-        out.is_upgrade = True
-        extra = self._corrupted_extra(line)
-        holders = [h for h in coh.sharer_list() if h != core]
-        inval_path = self._invalidation_latency(home, holders, core)
-        for holder in holders:
-            prior = self.cores[holder].invalidate(addr)
-            if prior is PrivateState.INVALID:
-                raise ProtocolError(f"stale sharer for block {addr:#x}")
-            self.stats.invalidations += 1
-            self.traffic.control(MessageClass.COHERENCE)
-            self.traffic.control(MessageClass.COHERENCE)
-        coh.set_owner(core)
-        self.traffic.control(MessageClass.PROCESSOR)
-        latency = self._latency
-        tiles = self._tiles
-        request_leg = latency[core * tiles + home] + self.config.llc_tag_latency + extra
-        out.latency = request_leg + max(latency[home * tiles + core], inval_path)
-        out.hops = 2 if not holders else 3
-        self._mark_tracked(line, bank)
+    def _upgrade_in_line(self, core, addr, line, bank, home, now, out) -> None:
+        """Serve an S->M upgrade of a block tracked in its LLC line."""
+        if line is None or line.coh is None:
+            raise ProtocolError(f"upgrade for untracked block {addr:#x}")
+        if line.stra is not None:
+            line.stra.record_other()
+        self._upgrade(core, addr, line.coh, home, now, out, self._corrupted_extra(line))
+        self._mark_tracked(line, bank, line.coh, line.stra)
 
     # ------------------------------------------------------------------
     # Eviction notices
@@ -312,8 +198,7 @@ class InLLCHome(BaseHome):
         coh = line.coh
         if state is PrivateState.MODIFIED:
             self.traffic.data(MessageClass.WRITEBACK)
-            line.underlying_dirty = True
-            bank.data_writes += 1
+            self._deposit_dirty(addr, now, line)
         elif state is PrivateState.EXCLUSIVE and not self.tag_extended:
             # The notice carries the borrowed bits for reconstruction.
             self.traffic.partial(MessageClass.WRITEBACK)
@@ -351,9 +236,7 @@ class InLLCHome(BaseHome):
                 return "llc:restored"
             return "llc:already-untracked"
         if line.coh is None:
-            line.coh = truth.copy()
-            line.stra = StraCounters(limit=self.stra_limit)
-            self._mark_tracked(line, bank)
+            self._mark_tracked(line, bank, truth.copy(), StraCounters(limit=self.stra_limit))
         else:
             line.coh.owner = truth.owner
             line.coh.sharers = truth.sharers
@@ -372,30 +255,6 @@ class InLLCHome(BaseHome):
             return True
         return spill is not None and spill.coh.holds(core)
 
-    def _check_single_writer(self) -> None:
-        exclusive_holder: "dict[int, int]" = {}
-        holders: "dict[int, list[int]]" = {}
-        for core in self.cores:
-            for addr, state in core.resident_blocks():
-                holders.setdefault(addr, []).append(core.core_id)
-                if state.is_exclusive:
-                    if addr in exclusive_holder:
-                        raise InvariantViolation(
-                            f"block {addr:#x} exclusively held by both "
-                            f"{exclusive_holder[addr]} and {core.core_id}",
-                            addr=addr,
-                            cores=(exclusive_holder[addr], core.core_id),
-                        )
-                    exclusive_holder[addr] = core.core_id
-        for addr, holder in exclusive_holder.items():
-            if len(holders[addr]) > 1:
-                raise InvariantViolation(
-                    f"block {addr:#x} held exclusively by {holder} while "
-                    f"also cached by {holders[addr]}",
-                    addr=addr,
-                    cores=tuple(holders[addr]),
-                )
-
     def check_invariants(self) -> None:
         for bank in self.banks:
             for line in bank.iter_lines():
@@ -410,16 +269,7 @@ class InLLCHome(BaseHome):
                             addr=line.tag,
                             cores=(holder,),
                         )
-        self._check_single_writer()
-        for core in self.cores:
-            for addr, _ in core.resident_blocks():
-                if not self._tracks(addr, core.core_id):
-                    raise InvariantViolation(
-                        f"core {core.core_id} caches {addr:#x} but no LLC "
-                        f"line tracks it",
-                        addr=addr,
-                        cores=(core.core_id,),
-                    )
+        super().check_invariants()
 
 
 class TinyHome(InLLCHome):
@@ -470,65 +320,42 @@ class TinyHome(InLLCHome):
         if upgrade:
             if entry is not None:
                 entry.stra.record_other()
-                self._serve_tracked_upgrade(core, addr, entry.coh, home, now, out)
+                self._upgrade(core, addr, entry.coh, home, now, out)
             elif spill is not None:
                 spill.stra.record_other()
-                self._serve_tracked_upgrade(core, addr, spill.coh, home, now, out)
+                self._upgrade(core, addr, spill.coh, home, now, out)
                 # A write transfers the spilled info back into the data
                 # block, which switches to corrupted exclusive (§IV-B1).
                 out.latency += self.config.llc_data_latency
                 self._unspill_into_line(spill, line, bank)
             else:
-                if line is None or line.coh is None:
-                    raise ProtocolError(f"upgrade for untracked block {addr:#x}")
-                self._record_stra(line, shared_read=False)
-                self._serve_upgrade(core, addr, line, bank, home, now, out)
+                self._upgrade_in_line(core, addr, line, bank, home, now, out)
         elif entry is not None:
             if self.observer is not None:
                 self.observer.emit("tiny:hit", cycle=now, core=core, addr=addr)
             shared_read = self._serve_via_tracker(
-                core, addr, kind, entry.coh, entry.stra, line, bank, home, now, out,
+                core, addr, kind, entry.coh, entry.stra, line, home, now, out,
                 via_spill=False,
             )
-            if entry.coh.is_idle:
-                self.tiny.remove(addr)
         elif spill is not None:
             if self.observer is not None:
                 self.observer.emit("tiny:spill_hit", cycle=now, core=core, addr=addr)
             shared_read = self._serve_via_tracker(
-                core, addr, kind, spill.coh, spill.stra, line, bank, home, now, out,
+                core, addr, kind, spill.coh, spill.stra, line, home, now, out,
                 via_spill=True,
             )
             if kind is AccessKind.WRITE:
                 out.latency += self.config.llc_data_latency
                 self._unspill_into_line(spill, line, bank)
-            elif spill.coh.is_idle:
-                bank.remove(spill)
         elif line is None or line.coh is None:
-            if line is None:
-                out.latency = (
-                    self._two_hop(core, home) + self._dram_fetch(addr, now, out)
-                )
-                line = self._fill_llc(addr, now)
-            else:
-                out.latency = self._two_hop(core, home)
-            self._take_ownership(core, kind, line, bank, out)
+            coh, line = self._grant(core, addr, kind, line, home, now, out)
+            self._track_in_line(line, bank, coh)
             if kind is AccessKind.IFETCH:
                 # Allocation situation (ii): an instruction read to an
                 # unowned block (§IV).
                 self._consider_tracking(addr, line, bank, home, now)
         else:
-            shared_read = kind.is_read and line.coh.is_shared
-            self._record_stra(line, shared_read)
-            if kind.is_read:
-                line.total_reads += 1
-                if shared_read:
-                    line.fwd_reads += 1
-            if line.coh.is_exclusive:
-                self._serve_tracked_exclusive(core, addr, kind, line, bank, home, now, out)
-            else:
-                self._serve_tracked_shared(core, addr, kind, line, bank, home, now, out)
-            line.note_holders(line.coh)
+            shared_read = self._serve_in_line(core, addr, kind, line, home, now, out)
             if kind.is_read:
                 # Allocation situation (i): a read to a corrupted block.
                 self._consider_tracking(addr, line, bank, home, now)
@@ -550,136 +377,45 @@ class TinyHome(InLLCHome):
     # ------------------------------------------------------------------
 
     def _serve_via_tracker(
-        self, core, addr, kind, coh, stra, line, bank, home, now, out, via_spill
+        self, core, addr, kind, coh, stra, line, home, now, out, via_spill
     ) -> bool:
         shared_read = kind.is_read and coh.is_shared
         if shared_read:
             stra.record_shared_read()
         else:
             stra.record_other()
-        line_valid = line is not None
         if line is not None and kind.is_read:
             line.total_reads += 1
             if shared_read:
                 line.fwd_reads += 1
-        if kind is AccessKind.WRITE:
-            if coh.is_exclusive:
-                owner = coh.owner
-                if owner == core:
-                    raise ProtocolError(
-                        f"core {core} missed on owned block {addr:#x}"
-                    )
-                out.hops = 3
-                out.latency = self._three_hop(core, home, owner)
-                self.traffic.control(MessageClass.COHERENCE)
-                self.traffic.data(MessageClass.PROCESSOR)
-                self.traffic.control(MessageClass.COHERENCE)
-                prior = self.cores[owner].invalidate(addr)
-                if prior is PrivateState.INVALID:
-                    raise ProtocolError(f"stale owner for block {addr:#x}")
-                self.stats.invalidations += 1
-            else:
-                holders = coh.sharer_list()
-                inval_path = self._invalidation_latency(home, holders, core)
-                base = (
-                    self._two_hop(core, home)
-                    if line_valid
-                    else self._three_hop(core, home, self._closest_sharer(coh, home))
-                )
-                self.traffic.data(MessageClass.PROCESSOR)
-                for holder in holders:
-                    prior = self.cores[holder].invalidate(addr)
-                    if prior is PrivateState.INVALID:
-                        raise ProtocolError(f"stale sharer for block {addr:#x}")
-                    self.stats.invalidations += 1
-                    self.traffic.control(MessageClass.COHERENCE)
-                    self.traffic.control(MessageClass.COHERENCE)
-                out.latency = max(
-                    base,
-                    self._latency[core * self._tiles + home]
-                    + self.config.llc_tag_latency
-                    + inval_path,
-                )
-            coh.set_owner(core)
-            out.fill_state = PrivateState.MODIFIED
-        elif coh.is_exclusive:
-            owner = coh.owner
-            if owner == core:
-                raise ProtocolError(f"core {core} missed on owned block {addr:#x}")
-            out.hops = 3
-            out.latency = self._three_hop(core, home, owner)
-            self.traffic.control(MessageClass.COHERENCE)
-            self.traffic.data(MessageClass.PROCESSOR)
-            self.traffic.control(MessageClass.COHERENCE)
-            prior = self.cores[owner].downgrade(addr)
-            if prior is PrivateState.MODIFIED:
-                self.traffic.data(MessageClass.WRITEBACK)
-                if line is not None:
-                    line.underlying_dirty = True
-                    bank.data_writes += 1
-                else:
-                    self._dram_write(addr, now)
-            coh.add_sharer(core)
-            out.fill_state = PrivateState.SHARED
+        if coh.is_exclusive:
+            # A downgraded M copy's data goes to memory if the line is gone.
+            self._forward_exclusive(core, addr, kind, coh, home, now, out, 0, line)
+        elif kind is AccessKind.WRITE:
+            self._write_shared(
+                core, addr, coh, home, now, out, line is not None, count_forward=False
+            )
         else:
-            if line_valid:
-                out.latency = self._two_hop(core, home)
-                self.traffic.data(MessageClass.PROCESSOR)
-                if via_spill and shared_read:
-                    out.spill_saved = True
-            else:
-                # Tracked in the tiny directory but the LLC data line was
-                # evicted: forward to a sharer and refill.
+            if line is None:
+                # Tracked here but the LLC data line was evicted: forward
+                # to a sharer.
                 if self.observer is not None:
                     self.observer.emit("tiny:fwd_refill", cycle=now, core=core, addr=addr)
-                forwarder = self._closest_sharer(coh, home)
-                out.hops = 3
-                out.latency = self._three_hop(core, home, forwarder)
-                self.traffic.control(MessageClass.COHERENCE)
-                self.traffic.data(MessageClass.PROCESSOR)
-                self.traffic.control(MessageClass.COHERENCE)
-            coh.add_sharer(core)
-            out.fill_state = PrivateState.SHARED
+            elif via_spill and shared_read:
+                out.spill_saved = True
+            self._read_shared(core, coh, home, out, line is not None)
         if line is not None:
             line.note_holders(coh)
         return shared_read
-
-    def _serve_tracked_upgrade(self, core, addr, coh, home, now, out) -> None:
-        if not coh.holds(core):
-            raise ProtocolError(
-                f"core {core} upgrades block {addr:#x} it is not recorded "
-                f"sharing"
-            )
-        out.is_upgrade = True
-        holders = [h for h in coh.sharer_list() if h != core]
-        inval_path = self._invalidation_latency(home, holders, core)
-        for holder in holders:
-            prior = self.cores[holder].invalidate(addr)
-            if prior is PrivateState.INVALID:
-                raise ProtocolError(f"stale sharer for block {addr:#x}")
-            self.stats.invalidations += 1
-            self.traffic.control(MessageClass.COHERENCE)
-            self.traffic.control(MessageClass.COHERENCE)
-        coh.set_owner(core)
-        self.traffic.control(MessageClass.PROCESSOR)
-        latency = self._latency
-        tiles = self._tiles
-        request_leg = latency[core * tiles + home] + self.config.llc_tag_latency
-        out.latency = request_leg + max(latency[home * tiles + core], inval_path)
-        out.hops = 2 if not holders else 3
 
     def _unspill_into_line(self, spill, line, bank) -> None:
         """Invalidate a spilled entry, moving its info into the data block
         (which becomes corrupted exclusive)."""
         if self.observer is not None:
             self.observer.emit("tiny:unspill", addr=spill.tag)
-        coh, stra = spill.coh, spill.stra
         bank.remove(spill)
-        if line is None:
-            return
-        line.coh = coh
-        line.stra = stra
-        self._mark_tracked(line, bank)
+        if line is not None:
+            self._mark_tracked(line, bank, spill.coh, spill.stra)
 
     # ------------------------------------------------------------------
     # Tracking placement: tiny-directory allocation and spilling
@@ -753,7 +489,7 @@ class TinyHome(InLLCHome):
                 f"block {vaddr:#x} tracked in both tiny directory and spill"
             )
         if vline is None:
-            self._back_invalidate_untracked(vaddr, coh, now)
+            self._back_invalidate(vaddr, coh, now, "llc:back_invalidate", to_memory=True)
             return
         if self.spill_enabled and coh.is_shared:
             if self.spill_policies[home].allows(stra.category()):
@@ -761,7 +497,9 @@ class TinyHome(InLLCHome):
                 if spill_line is not None:
                     if svictim is vline:
                         bank.remove(spill_line)
-                        self._back_invalidate_untracked(vaddr, coh, now)
+                        self._back_invalidate(
+                            vaddr, coh, now, "llc:back_invalidate", to_memory=True
+                        )
                         self._handle_llc_victim(svictim, now)
                         return
                     if svictim is not None:
@@ -773,29 +511,7 @@ class TinyHome(InLLCHome):
         # Corrupt the victim's data line with the transferred state.
         if self.observer is not None:
             self.observer.emit("tiny:rehome_corrupt", cycle=now, addr=vaddr)
-        vline.coh = coh
-        vline.stra = stra
-        self._mark_tracked(vline, bank)
-
-    def _back_invalidate_untracked(self, addr, coh, now) -> None:
-        if self.observer is not None:
-            self.observer.emit(
-                "llc:back_invalidate", cycle=now, addr=addr, holders=coh.holders()
-            )
-        had_dirty = False
-        for holder in coh.holders():
-            prior = self.cores[holder].invalidate(addr)
-            self.traffic.control(MessageClass.COHERENCE)
-            if prior is PrivateState.MODIFIED:
-                had_dirty = True
-                self.traffic.data(MessageClass.COHERENCE)
-            else:
-                self.traffic.control(MessageClass.COHERENCE)
-            self.stats.invalidations += 1
-            self.stats.back_invalidations += 1
-        if had_dirty:
-            self._dram_write(addr, now)
-        coh.clear()
+        self._mark_tracked(vline, bank, coh, stra)
 
     # ------------------------------------------------------------------
     # LLC victims: spilled entries and companions need special care
@@ -809,17 +525,19 @@ class TinyHome(InLLCHome):
             if b_line is not None and b_line.coh is None:
                 if self.observer is not None:
                     self.observer.emit("tiny:recall", cycle=now, addr=victim.tag)
-                b_line.coh = victim.coh
-                b_line.stra = victim.stra
-                self._mark_tracked(b_line, bank)
+                self._mark_tracked(b_line, bank, victim.coh, victim.stra)
             else:
-                self._back_invalidate_untracked(victim.tag, victim.coh, now)
+                self._back_invalidate(
+                    victim.tag, victim.coh, now, "llc:back_invalidate", to_memory=True
+                )
             return
         # A data line: drop any spilled companion alongside it.
         _, spill = bank.lookup(victim.tag, touch=False)
         if spill is not None:
             bank.remove(spill)
-            self._back_invalidate_untracked(victim.tag, spill.coh, now)
+            self._back_invalidate(
+                victim.tag, spill.coh, now, "llc:back_invalidate", to_memory=True
+            )
             self._flush_residency(victim)
             if victim.state is LLCState.DIRTY or victim.underlying_dirty:
                 self._dram_write(victim.tag, now)
@@ -836,43 +554,19 @@ class TinyHome(InLLCHome):
         entry = self.tiny.find_quiet(addr)
         bank = self.banks[addr % self.num_banks]
         if entry is not None:
-            self._notice_traffic(state, partial=False)
+            self._take_notice(addr, state, now)
             entry.coh.remove(core)
             if entry.coh.is_idle:
                 self.tiny.remove(addr)
-            if state is PrivateState.MODIFIED:
-                self._deposit_dirty(addr, bank, now)
             return
-        line, spill = bank.lookup(addr, touch=False)
+        _, spill = bank.lookup(addr, touch=False)
         if spill is not None:
-            self._notice_traffic(state, partial=False)
+            self._take_notice(addr, state, now)
             spill.coh.remove(core)
             if spill.coh.is_idle:
                 bank.remove(spill)
-            if state is PrivateState.MODIFIED:
-                self._deposit_dirty(addr, bank, now)
             return
         super().handle_private_eviction(core, addr, state, now)
-
-    def _notice_traffic(self, state: PrivateState, partial: bool) -> None:
-        if state is PrivateState.MODIFIED:
-            self.traffic.data(MessageClass.WRITEBACK)
-        elif partial:
-            self.traffic.partial(MessageClass.WRITEBACK)
-        else:
-            self.traffic.control(MessageClass.WRITEBACK)
-        self.traffic.control(MessageClass.WRITEBACK)  # acknowledgement
-
-    def _deposit_dirty(self, addr, bank, now) -> None:
-        line, _ = bank.lookup(addr, touch=False)
-        if line is not None and not line.is_spill:
-            if line.state is LLCState.CORRUPTED:
-                line.underlying_dirty = True
-            else:
-                line.state = LLCState.DIRTY
-            bank.data_writes += 1
-        else:
-            self._dram_write(addr, now)
 
     # ------------------------------------------------------------------
     # Recovery

@@ -1,10 +1,15 @@
 """Home controllers for the sparse-directory scheme family.
 
-:class:`SparseHome` implements the baseline write-invalidate MESI home
-node with a sparse directory (Section II / Fig. 1 of the paper). Three
-small hook methods — :meth:`_find`, :meth:`_install`, :meth:`_drop` —
-abstract where tracking information lives, so the competing organizations
-are subclasses:
+:class:`SparseHome` is the baseline write-invalidate MESI home node with a
+sparse directory (Section II / Fig. 1 of the paper). The MESI
+transitions themselves — grant, forward to the exclusive owner, shared
+read, write-invalidate, upgrade, back-invalidation and dirty-data
+deposit — are :class:`~repro.coherence.base.BaseHome`'s; this module
+supplies where tracking lives, through three small hooks — :meth:`_find`,
+:meth:`_install`, :meth:`_drop` — plus the ``dir:*`` events and the
+sparse data placement (a non-inclusive LLC refilled on a forwarded
+read, written-back data allocating an LLC line). The competing
+organizations are subclasses overriding the hooks:
 
 * :class:`SharedOnlyHome` — the Fig. 3 idealized design: only shared
   blocks occupy the limited directory; private/exclusive blocks live in a
@@ -24,7 +29,7 @@ from repro.directory.mgd import BLOCKS_PER_REGION, MultiGrainDirectory, RegionEn
 from repro.directory.stash import StashState
 from repro.errors import InvariantViolation, ProtocolError
 from repro.interconnect.traffic import MessageClass
-from repro.types import AccessKind, LLCState, PrivateState
+from repro.types import AccessKind, PrivateState
 
 
 class SparseHome(BaseHome):
@@ -52,7 +57,7 @@ class SparseHome(BaseHome):
         if victim is not None:
             if self.observer is not None:
                 self.observer.emit("dir:evict", cycle=now, addr=victim[0])
-            self._back_invalidate(*victim, now)
+            self._back_invalidate(*victim, now, "dir:back_invalidate")
 
     def _drop(self, addr: int, coh: CohInfo) -> None:
         """Stop tracking ``addr`` (no private copies remain)."""
@@ -64,15 +69,6 @@ class SparseHome(BaseHome):
         """Hook called after mutating a tracked block's CohInfo."""
         if coh.is_idle:
             self._drop(addr, coh)
-
-    def _back_invalidate(self, addr: int, coh: CohInfo, now: int) -> None:
-        """Invalidate every private copy of an evicted tracking entry."""
-        if self.observer is not None:
-            self.observer.emit(
-                "dir:back_invalidate", cycle=now, addr=addr, holders=coh.holders()
-            )
-        self.stats.back_invalidations += len(coh.holders())
-        self._invalidate_holders(addr, coh, now)
 
     # ------------------------------------------------------------------
     # Recovery
@@ -94,33 +90,6 @@ class SparseHome(BaseHome):
         return "directory:reinstalled"
 
     # ------------------------------------------------------------------
-    # LLC helpers
-    # ------------------------------------------------------------------
-
-    def _fill_llc(self, addr: int, state: LLCState, now: int):
-        bank = self.banks[addr % self.num_banks]
-        line, victim = bank.insert_block(addr, state)
-        if victim is not None:
-            self._handle_llc_victim(victim, now)
-        return line
-
-    def _handle_llc_victim(self, victim, now: int) -> None:
-        self._flush_residency(victim)
-        if victim.state is LLCState.DIRTY:
-            self._dram_write(victim.tag, now)
-
-    def _ensure_llc_data(self, addr: int, dirty: bool, now: int) -> None:
-        """Deposit written-back data into the LLC (allocate on absence)."""
-        bank = self.banks[addr % self.num_banks]
-        line, _ = bank.lookup(addr, touch=False)
-        if line is None:
-            self._fill_llc(addr, LLCState.DIRTY if dirty else LLCState.CLEAN, now)
-        else:
-            if dirty:
-                line.state = LLCState.DIRTY
-            bank.data_writes += 1
-
-    # ------------------------------------------------------------------
     # The protocol
     # ------------------------------------------------------------------
 
@@ -140,159 +109,41 @@ class SparseHome(BaseHome):
         line, _ = bank.lookup(addr)
 
         if upgrade:
-            self._serve_upgrade(core, addr, coh, home, now, out)
+            if self.observer is not None:
+                self.observer.emit("dir:upgrade", cycle=now, core=core, addr=addr)
+            self._upgrade(core, addr, coh, home, now, out)
+            self._after_update(addr, coh, now)
             return out
 
-        is_read = kind.is_read
-        shared_read = is_read and coh is not None and coh.is_shared
-        if line is not None:
-            if is_read:
-                line.total_reads += 1
-            if shared_read:
-                line.fwd_reads += 1
-
         if coh is None or coh.is_idle:
-            self._serve_untracked(core, addr, kind, line, home, now, out)
-        elif coh.is_exclusive:
-            self._serve_exclusive(core, addr, kind, coh, home, now, out)
-        else:
-            self._serve_shared(core, addr, kind, coh, line, home, now, out)
-        return out
+            coh, _ = self._grant(core, addr, kind, line, home, now, out)
+            self._install(addr, coh, now)
+            return out
 
-    # -- untracked: no private copies anywhere ---------------------------
-
-    def _serve_untracked(self, core, addr, kind, line, home, now, out) -> None:
-        latency = self._two_hop(core, home)
-        if line is None:
-            latency += self._dram_fetch(addr, now, out)
-            line = self._fill_llc(addr, LLCState.CLEAN, now)
-            if kind.is_read:
-                line.total_reads += 1
-        coh = CohInfo()
-        if kind is AccessKind.WRITE:
-            coh.set_owner(core)
-            out.fill_state = PrivateState.MODIFIED
-        elif kind is AccessKind.IFETCH:
-            coh.add_sharer(core)
-            out.fill_state = PrivateState.SHARED
-        else:
-            coh.set_owner(core)
-            out.fill_state = PrivateState.EXCLUSIVE
-        self._install(addr, coh, now)
-        line.note_holders(coh)
-        self.traffic.data(MessageClass.PROCESSOR)  # the data response
-        out.latency = latency
-
-    # -- exclusively owned by another core -------------------------------
-
-    def _serve_exclusive(self, core, addr, kind, coh, home, now, out) -> None:
-        owner = coh.owner
-        if owner == core:
-            raise ProtocolError(
-                f"core {core} missed on block {addr:#x} it supposedly owns"
-            )
-        out.hops = 3
-        out.latency = self._three_hop(core, home, owner)
-        if self.observer is not None:
-            self.observer.emit("dir:fwd_exclusive", cycle=now, core=core, addr=addr)
-        self.traffic.control(MessageClass.COHERENCE)  # forwarded request
-        self.traffic.data(MessageClass.PROCESSOR)  # owner -> requester data
-        self.traffic.control(MessageClass.COHERENCE)  # busy-clear to home
-        if kind is AccessKind.WRITE:
-            prior = self.cores[owner].invalidate(addr)
-            if prior is PrivateState.INVALID:
-                raise ProtocolError(f"stale owner for block {addr:#x}")
-            self.stats.invalidations += 1
-            coh.set_owner(core)
-            out.fill_state = PrivateState.MODIFIED
-        else:
-            prior = self.cores[owner].downgrade(addr)
-            if prior is PrivateState.MODIFIED:
-                # The downgrade deposits the dirty block at the home LLC.
-                self.traffic.data(MessageClass.WRITEBACK)
-                self._ensure_llc_data(addr, dirty=True, now=now)
-            coh.add_sharer(core)
-            out.fill_state = PrivateState.SHARED
-        self._after_update(addr, coh, now)
-
-    # -- shared by one or more cores --------------------------------------
-
-    def _serve_shared(self, core, addr, kind, coh, line, home, now, out) -> None:
-        line_valid = line is not None and line.state in (
-            LLCState.CLEAN,
-            LLCState.DIRTY,
-        )
-        if kind is AccessKind.WRITE:
+        if line is not None and kind.is_read:
+            line.total_reads += 1
+            if coh.is_shared:
+                line.fwd_reads += 1
+        if coh.is_exclusive:
+            if self.observer is not None:
+                self.observer.emit("dir:fwd_exclusive", cycle=now, core=core, addr=addr)
+            self._forward_exclusive(core, addr, kind, coh, home, now, out, allocate=True)
+        elif kind is AccessKind.WRITE:
             if self.observer is not None:
                 self.observer.emit("dir:write_shared", cycle=now, core=core, addr=addr)
-            holders = coh.sharer_list()
-            inval_path = self._invalidation_latency(home, holders, core)
-            if line_valid:
-                base = self._two_hop(core, home)
-            else:
-                forwarder = self._closest_sharer(coh, home)
-                base = self._three_hop(core, home, forwarder)
-                out.hops = 3
-                self.traffic.control(MessageClass.COHERENCE)
-            self.traffic.data(MessageClass.PROCESSOR)
-            self._invalidate_holders(addr, coh, now, data_to_requester=True)
-            coh.set_owner(core)
-            out.fill_state = PrivateState.MODIFIED
-            out.latency = max(
-                base,
-                self._latency[core * self._tiles + home]
-                + self.config.llc_tag_latency
-                + inval_path,
-            )
+            self._write_shared(core, addr, coh, home, now, out, line is not None)
+            if line is not None:
+                line.note_holders(coh)
         else:
-            if line_valid:
-                out.latency = self._two_hop(core, home)
-                self.traffic.data(MessageClass.PROCESSOR)
-            else:
-                # Non-inclusive LLC lost the clean copy: forward to the
-                # elected sharer and refill the LLC alongside.
-                forwarder = self._closest_sharer(coh, home)
-                out.hops = 3
-                out.latency = self._three_hop(core, home, forwarder)
-                self.traffic.control(MessageClass.COHERENCE)
-                self.traffic.data(MessageClass.PROCESSOR)
-                self.traffic.control(MessageClass.COHERENCE)
-                self.traffic.data(MessageClass.WRITEBACK)  # LLC refill
-                line = self._fill_llc(addr, LLCState.CLEAN, now)
-            coh.add_sharer(core)
-            out.fill_state = PrivateState.SHARED
-        if line is not None:
+            self._read_shared(core, coh, home, out, line is not None)
+            if line is None:
+                # Non-inclusive LLC lost the clean copy: refill it
+                # alongside the forwarded data.
+                self.traffic.data(MessageClass.WRITEBACK)
+                line = self._fill_llc(addr, now)
             line.note_holders(coh)
         self._after_update(addr, coh, now)
-
-    # -- S -> M upgrades ----------------------------------------------------
-
-    def _serve_upgrade(self, core, addr, coh, home, now, out) -> None:
-        out.is_upgrade = True
-        if self.observer is not None:
-            self.observer.emit("dir:upgrade", cycle=now, core=core, addr=addr)
-        if coh is None or not coh.holds(core):
-            raise ProtocolError(
-                f"core {core} upgrades block {addr:#x} the tracker does not "
-                f"record it sharing"
-            )
-        holders = [h for h in coh.sharer_list() if h != core]
-        inval_path = self._invalidation_latency(home, holders, core)
-        for holder in holders:
-            prior = self.cores[holder].invalidate(addr)
-            if prior is PrivateState.INVALID:
-                raise ProtocolError(f"stale sharer for block {addr:#x}")
-            self.traffic.control(MessageClass.COHERENCE)
-            self.traffic.control(MessageClass.COHERENCE)
-            self.stats.invalidations += 1
-        coh.set_owner(core)
-        self.traffic.control(MessageClass.PROCESSOR)  # grant
-        latency = self._latency
-        tiles = self._tiles
-        request_leg = latency[core * tiles + home] + self.config.llc_tag_latency
-        out.latency = request_leg + max(latency[home * tiles + core], inval_path)
-        out.hops = 2 if not holders else 3
-        self._after_update(addr, coh, now)
+        return out
 
     # ------------------------------------------------------------------
     # Eviction notices
@@ -301,12 +152,7 @@ class SparseHome(BaseHome):
     def handle_private_eviction(
         self, core: int, addr: int, state: PrivateState, now: int
     ) -> None:
-        if state is PrivateState.MODIFIED:
-            self.traffic.data(MessageClass.WRITEBACK)
-            self._ensure_llc_data(addr, dirty=True, now=now)
-        else:
-            self.traffic.control(MessageClass.WRITEBACK)
-        self.traffic.control(MessageClass.WRITEBACK)  # acknowledgement
+        self._take_notice(addr, state, now, allocate=True)
         coh = self._find(addr, core, now, None)
         if coh is None:
             return
@@ -324,7 +170,6 @@ class SparseHome(BaseHome):
         return coh is not None and coh.holds(core)
 
     def check_invariants(self) -> None:
-        """Tracking and private caches must exactly mirror each other."""
         if hasattr(self.directory, "iter_entries"):
             for addr, coh in self.directory.iter_entries():
                 for holder in coh.holders():
@@ -343,40 +188,7 @@ class SparseHome(BaseHome):
                             addr=addr,
                             cores=(holder,),
                         )
-        self._check_single_writer()
-        for core in self.cores:
-            for addr, _ in core.resident_blocks():
-                if not self._tracks(addr, core.core_id):
-                    raise InvariantViolation(
-                        f"core {core.core_id} caches {addr:#x} but no "
-                        f"tracking structure records it",
-                        addr=addr,
-                        cores=(core.core_id,),
-                    )
-
-    def _check_single_writer(self) -> None:
-        exclusive_holder: "dict[int, int]" = {}
-        holders: "dict[int, list[int]]" = {}
-        for core in self.cores:
-            for addr, state in core.resident_blocks():
-                holders.setdefault(addr, []).append(core.core_id)
-                if state.is_exclusive:
-                    if addr in exclusive_holder:
-                        raise InvariantViolation(
-                            f"block {addr:#x} exclusively held by both "
-                            f"{exclusive_holder[addr]} and {core.core_id}",
-                            addr=addr,
-                            cores=(exclusive_holder[addr], core.core_id),
-                        )
-                    exclusive_holder[addr] = core.core_id
-        for addr, holder in exclusive_holder.items():
-            if len(holders[addr]) > 1:
-                raise InvariantViolation(
-                    f"block {addr:#x} held exclusively by {holder} while "
-                    f"also cached by {holders[addr]}",
-                    addr=addr,
-                    cores=tuple(holders[addr]),
-                )
+        super().check_invariants()
 
 
 class SharedOnlyHome(SparseHome):
@@ -495,7 +307,7 @@ class StashHome(SparseHome):
                 self.observer.emit("stash:stash", cycle=now, core=vcoh.owner, addr=vaddr)
             self.stash.stash(vaddr, vcoh.owner)
         else:
-            self._back_invalidate(vaddr, vcoh, now)
+            self._back_invalidate(vaddr, vcoh, now, "dir:back_invalidate")
 
     def _find(self, addr, core, now, out):
         coh = self.directory.lookup(addr)
@@ -640,7 +452,7 @@ class MgdHome(SparseHome):
             return
         kind, key, payload = victim
         if kind == "block":
-            self._back_invalidate(key, payload, now)
+            self._back_invalidate(key, payload, now, "dir:back_invalidate")
         else:
             if self.observer is not None:
                 self.observer.emit("mgd:evict_region", cycle=now, region=key)
@@ -654,24 +466,15 @@ class MgdHome(SparseHome):
                 self.traffic.control(MessageClass.COHERENCE)
                 if state is PrivateState.MODIFIED:
                     self.traffic.data(MessageClass.COHERENCE)
-                    self._store_dirty_data(baddr, now)
+                    self._deposit_dirty(baddr, now)
                 else:
                     self.traffic.control(MessageClass.COHERENCE)
 
     def _drop(self, addr, coh):
         self.directory.remove_block(addr)
 
-    def _after_update(self, addr, coh, now):
-        if coh.is_idle:
-            self._drop(addr, coh)
-
     def handle_private_eviction(self, core, addr, state, now):
-        if state is PrivateState.MODIFIED:
-            self.traffic.data(MessageClass.WRITEBACK)
-            self._ensure_llc_data(addr, dirty=True, now=now)
-        else:
-            self.traffic.control(MessageClass.WRITEBACK)
-        self.traffic.control(MessageClass.WRITEBACK)
+        self._take_notice(addr, state, now, allocate=True)
         coh = self.directory.lookup_block(addr)
         if coh is not None:
             coh.remove(core)
@@ -743,12 +546,4 @@ class MgdHome(SparseHome):
                         addr=baddr,
                         cores=(entry.owner,),
                     )
-        for core in self.cores:
-            for addr, _ in core.resident_blocks():
-                if not self._tracks(addr, core.core_id):
-                    raise InvariantViolation(
-                        f"core {core.core_id} caches {addr:#x} but MgD "
-                        f"does not track it",
-                        addr=addr,
-                        cores=(core.core_id,),
-                    )
+        self._check_copies_tracked()

@@ -10,7 +10,7 @@ path (per-line objects, array-method hops) trips it. Only ``repro`` frames
 count, so stdlib internals that differ between Python versions do not.
 
 Ceilings sit about 10% above the measured counts (Python 3.11):
-sparse 27.70, tiny 30.43, MgD 34.47 calls per access.
+sparse 27.98, tiny 31.26, MgD 34.48 calls per access.
 """
 
 import pathlib
