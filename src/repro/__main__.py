@@ -175,8 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout",
         type=float,
         metavar="SECONDS",
-        help="per-run wall-clock limit (cooperative deadline; works on "
-        "every platform and in worker processes)",
+        help="per-run wall-clock limit (a watchdog wall limit, nested "
+        "with any REPRO_BUDGET_WALL; works on every platform and in "
+        "worker processes)",
     )
     parser.add_argument(
         "--retries",

@@ -4,10 +4,10 @@ Besides :func:`run_app` (one application under one scheme), this module
 hosts the hardened harness policy: :func:`run_app_guarded` wraps a run
 with a per-run timeout, bounded retry, and — under ``keep_going`` — the
 collection of per-app failures instead of aborting a whole figure sweep
-on the first crash. Timeouts are enforced with the cooperative deadline
-of :mod:`repro.sim.deadline`, so they work in any thread and inside
-:mod:`repro.parallel` pool workers. See ``docs/harness.md`` and
-``docs/resilience.md``.
+on the first crash. The timeout is a :mod:`repro.guard.watchdog` wall
+limit sampled from inside the simulation loops, so it works in any
+thread and inside :mod:`repro.parallel` pool workers. See
+``docs/harness.md`` and ``docs/resilience.md``.
 """
 
 from __future__ import annotations
@@ -16,12 +16,11 @@ import contextlib
 import os
 from dataclasses import dataclass, field
 
-from repro.guard.budget import budget_from_env
+from repro.guard.budget import RunBudget, budget_from_env
 from repro.guard.watchdog import guard_scope
 from repro.recovery import recovery_from_env
 from repro.resilience.auditor import ProtocolAuditor, auditor_from_env
 from repro.resilience.faults import injector_from_env
-from repro.sim.deadline import deadline_scope
 from repro.sim.config import SystemConfig
 from repro.sim.engine import run_trace
 from repro.sim.results import RunResult
@@ -243,9 +242,9 @@ class HarnessPolicy:
 
     keep_going: bool = False
     #: Per-attempt wall-clock limit in seconds (None = unlimited). The
-    #: limit is a cooperative deadline checked inside the trace engine
-    #: and the stream generator (see :mod:`repro.sim.deadline`), so it
-    #: works on every platform, in any thread, and in pool workers.
+    #: limit is armed as a :mod:`repro.guard.watchdog` scope sampled
+    #: inside the trace engine and the stream generator, so it works on
+    #: every platform, in any thread, and in pool workers.
     timeout_s: "float | None" = None
     #: Additional attempts after the first failure.
     max_retries: int = 0
@@ -283,8 +282,8 @@ def run_app_guarded(
     """:func:`run_app` under the active :class:`HarnessPolicy`.
 
     Retries up to ``policy.max_retries`` extra times; each attempt is
-    bounded by ``policy.timeout_s`` (a cooperative wall-clock deadline
-    raising :class:`~repro.errors.RunTimeoutError`). When every attempt
+    bounded by ``policy.timeout_s`` (a watchdog wall limit raising
+    :class:`~repro.errors.RunTimeoutError`). When every attempt
     fails: under ``keep_going`` the failure is appended to
     ``policy.failures`` and a placeholder :class:`RunResult` is
     returned, otherwise the last error propagates.
@@ -293,10 +292,12 @@ def run_app_guarded(
     app_name = app if isinstance(app, str) else app.name
     scheme_name = getattr(scheme, "name", type(scheme).__name__)
     attempts = 1 + max(0, policy.max_retries)
+    timeout = policy.timeout_s
+    limit = RunBudget(wall_s=timeout) if timeout and timeout > 0 else None
     last_error: "BaseException | None" = None
     for _attempt in range(attempts):
         try:
-            with deadline_scope(policy.timeout_s):
+            with guard_scope(limit, timeout=True):
                 return run_app(app, scheme, scale, config)
         except KeyboardInterrupt:
             raise

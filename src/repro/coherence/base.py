@@ -327,6 +327,8 @@ class BaseHome:
             prior = self.cores[owner].invalidate(addr)
             if prior is PrivateState.INVALID:
                 raise ProtocolError(f"stale owner for block {addr:#x}")
+            if self.observer is not None:
+                self.observer.emit(_INVAL_KIND[prior], cycle=now, core=owner, addr=addr)
             self.stats.invalidations += 1
             coh.set_owner(core)
             out.fill_state = PrivateState.MODIFIED

@@ -22,7 +22,7 @@ organizations are subclasses overriding the hooks:
 
 from __future__ import annotations
 
-from repro.coherence.base import BaseHome
+from repro.coherence.base import _INVAL_KIND, BaseHome
 from repro.coherence.info import CohInfo
 from repro.coherence.transaction import AccessOutcome
 from repro.directory.mgd import BLOCKS_PER_REGION, MultiGrainDirectory, RegionEntry
@@ -460,7 +460,14 @@ class MgdHome(SparseHome):
             for baddr in payload.blocks(key):
                 state = self.cores[owner].invalidate(baddr)
                 if state is PrivateState.INVALID:
-                    continue
+                    raise InvariantViolation(
+                        f"region back-invalidation sent to core {owner} for "
+                        f"block {baddr:#x} it does not hold (stale presence bit)",
+                        addr=baddr,
+                        cores=(owner,),
+                    )
+                if self.observer is not None:
+                    self.observer.emit(_INVAL_KIND[state], cycle=now, core=owner, addr=baddr)
                 self.stats.invalidations += 1
                 self.stats.back_invalidations += 1
                 self.traffic.control(MessageClass.COHERENCE)

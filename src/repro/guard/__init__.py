@@ -5,10 +5,11 @@ The resilience stack (``repro.resilience``, ``repro.recovery``,
 coherence state, crashed workers. This package defends against
 *resource* failures, the other way long campaigns die:
 
-* **Budgets** (:mod:`~repro.guard.budget`,
+* **Budgets and timeouts** (:mod:`~repro.guard.budget`,
   :mod:`~repro.guard.watchdog`): a declarative :class:`RunBudget`
   (wall clock, peak RSS, artifact-disk bytes) sampled cooperatively
-  from the trace-engine loop; a blown budget raises a structured
+  from the simulation loops by the one run watchdog, which also
+  enforces the harness ``--timeout``; a blown budget raises a structured
   :class:`~repro.errors.BudgetExceeded` that flows through the
   existing keep-going/journal semantics, and near-miss pressure is
   published as the ``stats.guard`` degraded-mode provenance section.
@@ -24,8 +25,9 @@ coherence state, crashed workers. This package defends against
   become :class:`~repro.errors.ShutdownRequested`; the CLI prints a
   ``--resume`` hint and exits :data:`EXIT_INTERRUPTED`.
 * **Soak harness** (:mod:`~repro.guard.soak`, ``python -m repro
-  soak``): randomized long sweeps under injected resource pressure
-  asserting the recovery invariants end to end.
+  soak``): the chaos harness — small sweeps under injected resource
+  pressure, protocol faults and worker kills, asserting the recovery
+  invariants end to end.
 
 See ``docs/resilience.md`` (Resource governance) for the operator
 guide.

@@ -4,10 +4,10 @@ A :class:`RunBudget` states how much wall clock, process RSS, and
 artifact-disk space a run is allowed to consume. The budget itself is
 inert data; enforcement is split by resource:
 
-* wall clock and RSS are sampled by the :mod:`repro.guard.watchdog`
-  from inside the trace-engine loop (cooperative, like the harness
-  deadline), raising :class:`~repro.errors.BudgetExceeded` within one
-  check stride of the limit being crossed;
+* wall clock and RSS are sampled cooperatively by the
+  :mod:`repro.guard.watchdog` from inside the simulation loops, raising
+  :class:`~repro.errors.BudgetExceeded` within one check stride of the
+  limit being crossed;
 * artifact-disk bytes are enforced at write time by
   :mod:`repro.guard.quota` (retention pruning, skip-on-overflow), so a
   full artifact directory degrades the run instead of crashing it.
@@ -29,10 +29,13 @@ from dataclasses import dataclass
 class RunBudget:
     """Resource limits for one run (``None`` = unlimited).
 
-    ``wall_s`` differs from the harness timeout
-    (:class:`~repro.analysis.runner.HarnessPolicy.timeout_s`) in intent
-    and error type: the timeout asks "has this run hung?", the budget
-    asks "is this run worth its resources?" — a budget trip raises
+    The harness timeout
+    (:class:`~repro.analysis.runner.HarnessPolicy.timeout_s`) is armed
+    as a ``RunBudget`` with only ``wall_s``, on a watchdog scope marked
+    as a timeout. The two differ in intent and error type: the timeout
+    asks "has this run hung?" and raises
+    :class:`~repro.errors.RunTimeoutError`, the budget asks "is this run
+    worth its resources?" and raises
     :class:`~repro.errors.BudgetExceeded`, which degraded-mode
     provenance tracks separately from timeouts.
     """

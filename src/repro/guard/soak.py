@@ -1,17 +1,20 @@
-"""Resource-governance soak harness (``python -m repro soak``).
+"""Chaos and soak harness (``python -m repro soak``).
 
-The unit tests pin each guard mechanism in isolation with monkeypatched
-pressure; this harness exercises them *together*, the way a long
-overnight sweep on a loaded machine would: randomized small sweeps run
-under injected resource pressure — starvation wall-clock budgets, tiny
-disk quotas, aggregate-RSS throttling, mid-sweep SIGTERM — and after
-every round the harness asserts the recovery invariants documented in
-``docs/resilience.md``:
+The unit tests pin each guard and recovery mechanism in isolation with
+monkeypatched pressure; this harness exercises them *together*, the way
+a long overnight sweep on a loaded machine would: randomized small
+sweeps run under injected trouble — starvation wall-clock budgets, tiny
+disk quotas, RSS budgets, mid-sweep SIGTERM, corrupted directory
+entries, a killed pool worker — and after every round the harness
+asserts the recovery invariants documented in ``docs/resilience.md``:
 
 * **no crash** — a pressured sweep completes degraded (keep-going
-  failures, skipped cache writes, throttled jobs) or exits with the
-  resumable :data:`~repro.guard.shutdown.EXIT_INTERRUPTED` code; it
-  never dies with a raw traceback;
+  failures, skipped cache writes, throttled jobs, a respawned pool) or
+  exits with the resumable
+  :data:`~repro.guard.shutdown.EXIT_INTERRUPTED` code; it never dies
+  with a raw traceback;
+* **self-healing** — an injected directory corruption is repaired in
+  place under every scheme, without escalation;
 * **no litter** — no stray ``*.tmp`` files survive in any artifact
   directory, whatever the pressure did;
 * **no contamination** — after the pressure is lifted, recomputing the
@@ -21,7 +24,8 @@ every round the harness asserts the recovery invariants documented in
   journal, and ``resume=True`` recomputes only the missing points.
 
 Rounds are seeded (``--seed``) so a failing soak reproduces exactly;
-``--quick`` is the CI configuration (fewer rounds, smallest scale).
+``--quick`` is the CI configuration: every scenario once, in order, at
+the smallest scale.
 """
 
 from __future__ import annotations
@@ -35,8 +39,16 @@ import tempfile
 import time
 from pathlib import Path
 
-#: Pressure scenarios a round can draw (``interrupt`` needs fork).
-SCENARIOS = ("wall_budget", "disk_quota", "rss_throttle", "interrupt")
+#: Scenarios a round can draw (``interrupt`` and ``worker_kill`` need
+#: fork).
+SCENARIOS = (
+    "wall_budget",
+    "disk_quota",
+    "rss_throttle",
+    "interrupt",
+    "recovery",
+    "worker_kill",
+)
 
 #: Environment keys every round starts from a clean slate on.
 _PRESSURE_KEYS = (
@@ -48,6 +60,10 @@ _PRESSURE_KEYS = (
     "REPRO_TRACE",
     "REPRO_METRICS",
     "REPRO_JOBS",
+    "REPRO_AUDIT",
+    "REPRO_FAULTS",
+    "REPRO_FAULT_SEED",
+    "REPRO_RECOVERY",
 )
 
 
@@ -93,8 +109,9 @@ def _round_points(rng: "random.Random", quick: bool):
     ]
 
 
-def _run_points(points, cache_dir: Path, *, resume: bool = False):
-    """One serial sweep of ``points`` journaled under ``cache_dir``."""
+def _run_points(points, cache_dir: Path, *, resume: bool = False,
+                jobs: int = 1):
+    """One sweep of ``points`` journaled under ``cache_dir``."""
     from repro.analysis.runner import HarnessPolicy
     from repro.parallel.executor import run_sweep
     from repro.parallel.journal import SweepJournal
@@ -103,7 +120,7 @@ def _run_points(points, cache_dir: Path, *, resume: bool = False):
     policy = HarnessPolicy(keep_going=True)
     with _scoped_env({"REPRO_CACHE_DIR": str(cache_dir), "REPRO_CACHE": "on"}):
         return run_sweep(
-            points, jobs=1, policy=policy, journal=journal, resume=resume
+            points, jobs=jobs, policy=policy, journal=journal, resume=resume
         )
 
 
@@ -133,6 +150,8 @@ def _check_recovery(points, sandbox: Path, baseline: "list[dict]",
         problems.append(
             f"{label}: recovery sweep still failing: {report.failures[0]}"
         )
+    if any(result.stats.guard for result in report.results):
+        problems.append(f"{label}: a clean run published stats.guard")
     dumps = [result.stats.dump() for result in report.results]
     if dumps != baseline:
         problems.append(
@@ -142,21 +161,31 @@ def _check_recovery(points, sandbox: Path, baseline: "list[dict]",
     return problems
 
 
+def _budget_failures(points, cache_dir: Path, env: "dict[str, str]",
+                     label: str, *, must_trip: bool) -> "list[str]":
+    """Sweep ``points`` under budget ``env``: every failure must be a
+    structured ``BudgetExceeded``; under ``must_trip`` every run fails."""
+    with _scoped_env(env):
+        report = _run_points(points, cache_dir)
+    problems = [
+        f"{label}: expected BudgetExceeded, got: {failure.error}"
+        for failure in report.failures
+        if "BudgetExceeded" not in failure.error
+    ][:1]
+    if must_trip and len(report.failures) != len(points):
+        problems.append(
+            f"{label}: {len(report.failures)} of {len(points)} runs "
+            f"tripped {env} (watchdog dead?)"
+        )
+    return problems
+
+
 def _scenario_wall_budget(points, sandbox, baseline, rng) -> "list[str]":
     """A starvation wall budget: runs must fail structurally, not crash."""
-    problems = []
-    with _scoped_env({"REPRO_BUDGET_WALL": "0.002"}):
-        report = _run_points(points, sandbox / "wall-pressed")
-    if not report.failures:
-        problems.append(
-            "wall_budget: no run tripped a 2ms wall budget (watchdog dead?)"
-        )
-    for failure in report.failures:
-        if "BudgetExceeded" not in failure.error:
-            problems.append(
-                f"wall_budget: expected BudgetExceeded, got: {failure.error}"
-            )
-            break
+    problems = _budget_failures(
+        points, sandbox / "wall-pressed", {"REPRO_BUDGET_WALL": "0.002"},
+        "wall_budget", must_trip=True,
+    )
     problems += _check_recovery(points, sandbox, baseline, "wall_budget")
     return problems
 
@@ -184,27 +213,29 @@ def _scenario_disk_quota(points, sandbox, baseline, rng) -> "list[str]":
 
 
 def _scenario_rss_throttle(points, sandbox, baseline, rng) -> "list[str]":
-    """An RSS budget straddling the live footprint: degrade, never die.
+    """RSS budgets: a ballast budget must trip, a straddling one degrades.
 
-    The budget is pinned just above the current interpreter RSS, so the
-    run lands in the pressure window (recorded provenance) or trips the
+    A 16 MB budget is ballast (a bare interpreter sits far above it), so
+    every run must fail as a structured ``BudgetExceeded``. A second
+    budget is pinned just above the current interpreter RSS, so the run
+    lands in the pressure window (recorded provenance) or trips the
     budget (structured failure) depending on the machine — both are
     acceptable degraded outcomes; a crash or contamination is not.
     """
     from repro.guard.watchdog import process_rss_mb
 
-    problems = []
     rss = process_rss_mb()
     if rss is None:
-        return problems  # platform without RSS introspection: skip
-    with _scoped_env({"REPRO_BUDGET_RSS": f"{rss * 1.05:.1f}"}):
-        report = _run_points(points, sandbox / "rss-pressed")
-    for failure in report.failures:
-        if "BudgetExceeded" not in failure.error:
-            problems.append(
-                f"rss_throttle: expected BudgetExceeded, got: {failure.error}"
-            )
-            break
+        return []  # platform without RSS introspection: skip
+    problems = _budget_failures(
+        points, sandbox / "rss-ballast", {"REPRO_BUDGET_RSS": "16"},
+        "rss_throttle", must_trip=True,
+    )
+    problems += _budget_failures(
+        points, sandbox / "rss-pressed",
+        {"REPRO_BUDGET_RSS": f"{rss * 1.05:.1f}"}, "rss_throttle",
+        must_trip=False,
+    )
     problems += _check_recovery(points, sandbox, baseline, "rss_throttle")
     return problems
 
@@ -282,12 +313,116 @@ def _scenario_interrupt(points, sandbox, baseline, rng) -> "list[str]":
     return problems
 
 
+def _scenario_recovery(points, sandbox, baseline, rng) -> "list[str]":
+    """Every scheme repairs an injected directory corruption in place."""
+    from repro.analysis.runner import run_app
+    from repro.sim.config import InLLCSpec, MgdSpec, SparseSpec, StashSpec
+    from repro.workloads.generator import generate_streams
+
+    problems = []
+    app, scale = points[0].app, points[0].scale
+    streams = generate_streams(
+        app, scale.make_config(points[0].scheme), scale.total_accesses,
+        seed=scale.seed,
+    )
+    # Fire halfway through the accesses after the initialization pass:
+    # there every block is first touched by one core, so MgD tracks it
+    # at region grain and holds no block entry to corrupt.
+    fire_at = sum(map(len, streams)) - scale.total_accesses // 2
+    schemes = [
+        SparseSpec(ratio=2.0),
+        InLLCSpec(),
+        scale.tiny_spec(1 / 32, spill=True),
+        MgdSpec(ratio=1 / 32),
+        StashSpec(ratio=1 / 32),
+    ]
+    with _scoped_env({
+        "REPRO_FAULTS": f"corrupt_directory_entry@{fire_at}",
+        "REPRO_FAULT_SEED": "11",
+        "REPRO_RECOVERY": "repair",
+        "REPRO_AUDIT": "256",
+    }):
+        for spec in schemes:
+            label = f"recovery[{spec.name}]"
+            try:
+                result = run_app(app, spec, scale)
+            except Exception as err:  # noqa: BLE001 - reported, not raised
+                problems.append(f"{label}: {type(err).__name__}: {err}")
+                continue
+            recovery = result.stats.recovery
+            if result.meta.get("injected_faults", 0) < 1:
+                problems.append(f"{label}: no fault was injected")
+            if result.meta.get("repairs", 0) < 1:
+                problems.append(f"{label}: the fault was not repaired")
+            if recovery.get("repairs", 0) < 1:
+                problems.append(f"{label}: empty recovery stats: {recovery}")
+            if recovery.get("escalations", 0):
+                problems.append(f"{label}: recovery escalated: {recovery}")
+    problems += _check_recovery(points, sandbox, baseline, "recovery")
+    return problems
+
+
+def _scenario_worker_kill(points, sandbox, baseline, rng) -> "list[str]":
+    """A pool worker dies mid-sweep once: respawn, lose no point."""
+    import multiprocessing
+
+    from repro.analysis import runner
+
+    if multiprocessing.get_start_method() != "fork":  # pragma: no cover
+        return []  # workers must inherit the patched run_app
+    marker = sandbox / "kill-once"
+    marker.write_text("armed")
+    victim = points[-1]
+    real_run_app = runner.run_app
+
+    def killing_run_app(app, scheme, scale=None, config=None):
+        if (app, scheme) == (victim.app, victim.scheme):
+            try:
+                marker.unlink()  # only the first worker to get here dies
+            except FileNotFoundError:
+                pass
+            else:
+                os._exit(71)
+        return real_run_app(app, scheme, scale, config)
+
+    runner.run_app = killing_run_app
+    try:
+        report = _run_points(points, sandbox / "killed", jobs=2)
+    finally:
+        runner.run_app = real_run_app
+    problems = []
+    if report.pool_respawns < 1:
+        problems.append("worker_kill: the killed worker did not break the pool")
+    if report.failures:
+        problems.append(f"worker_kill: sweep failed: {report.failures[0]}")
+    dumps = [
+        result.stats.dump()
+        for result in report.results
+        if result is not None and not result.meta.get("failed")
+    ]
+    if dumps != baseline:
+        problems.append(
+            "worker_kill: not every point healed to the baseline statistics"
+        )
+    return problems
+
+
 _SCENARIO_FNS = {
     "wall_budget": _scenario_wall_budget,
     "disk_quota": _scenario_disk_quota,
     "rss_throttle": _scenario_rss_throttle,
     "interrupt": _scenario_interrupt,
+    "recovery": _scenario_recovery,
+    "worker_kill": _scenario_worker_kill,
 }
+
+
+def _round_plan(pool, rounds: int, quick: bool, rng: "random.Random"):
+    """The scenario of each round: under ``quick`` every entry of
+    ``pool`` once, in order; otherwise ``rounds`` seeded draws."""
+    if quick:
+        return list(pool)
+    return [rng.choice(pool) for _ in range(max(1, rounds))]
 
 
 # ----------------------------------------------------------------------
@@ -297,15 +432,17 @@ _SCENARIO_FNS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro soak",
-        description="Randomized resource-pressure soak for the guard "
-        "subsystem (budgets, quotas, throttling, graceful shutdown).",
+        description="Randomized chaos soak for the guard and recovery "
+        "subsystems (budgets, quotas, throttling, graceful shutdown, "
+        "fault repair, worker kills).",
     )
     parser.add_argument(
         "--rounds",
         type=int,
         default=4,
         metavar="N",
-        help="pressure rounds to run (default 4; each draws one scenario)",
+        help="rounds to run (default 4; each draws one scenario; "
+        "ignored under --quick)",
     )
     parser.add_argument(
         "--seed",
@@ -317,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI configuration: 2 rounds at the smallest scale",
+        help="CI configuration: every scenario once, in order, at the "
+        "smallest scale",
     )
     parser.add_argument(
         "--scenario",
@@ -338,8 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_soak(args) -> int:
     rng = random.Random(args.seed)
-    rounds = 2 if args.quick else max(1, args.rounds)
-    pool = list(args.scenario or SCENARIOS)
+    plan = _round_plan(args.scenario or SCENARIOS, args.rounds, args.quick, rng)
+    rounds = len(plan)
     if args.out:
         root = Path(args.out)
         root.mkdir(parents=True, exist_ok=True)
@@ -351,9 +489,7 @@ def run_soak(args) -> int:
     violations: "list[str]" = []
     try:
         with _scoped_env(clean_env):
-            for round_no in range(1, rounds + 1):
-                scenario = pool[(round_no - 1) % len(pool)] if args.quick \
-                    else rng.choice(pool)
+            for round_no, scenario in enumerate(plan, start=1):
                 sandbox = root / f"round{round_no:02d}-{scenario}"
                 sandbox.mkdir(parents=True, exist_ok=True)
                 points = _round_points(rng, args.quick)

@@ -1,23 +1,38 @@
-"""Sampling resource watchdog, armed per run like the harness deadline.
+"""Sampling run watchdog: the one cooperative wall-clock and RSS guard.
 
-:func:`guard_scope` arms a :class:`Watchdog` over a
-:class:`~repro.guard.budget.RunBudget` for its ``with`` body; the trace
-engine calls :func:`check_watchdog` every
-:data:`~repro.sim.deadline.CHECK_STRIDE` accesses, right next to its
-deadline check. The mechanism is the same cooperative design as
-:mod:`repro.sim.deadline` — no signals, no threads — so budgets work on
-every platform and inside process-pool workers, and an unarmed check
-costs one global read.
+:func:`guard_scope` arms a :class:`Watchdog` for its ``with`` body, and
+every long loop (both trace-engine lanes, the stream generator, and
+``repro diff``'s monitored loop) calls :func:`check_watchdog` every
+:data:`CHECK_STRIDE` iterations. No signals and no threads: the limits
+work on every platform, in any thread, and inside process-pool workers
+(``SIGALRM`` would not survive there), and an unarmed check costs one
+global read. Code that never reaches a check (a hung C extension, an
+arbitrary ``sleep``) cannot be interrupted; for the simulator that is
+no restriction, since all run time is spent in those loops.
 
-Each check compares wall clock against the budget every time (one
+A watchdog guards one of two things:
+
+* a :class:`~repro.guard.budget.RunBudget` (wall clock, peak RSS),
+  which asks "is this run worth its resources?". Crossing a limit
+  raises :class:`~repro.errors.BudgetExceeded`; crossing
+  :data:`PRESSURE_FRACTION` of it records a *pressure event*, which
+  :meth:`Watchdog.publish` turns into the ``stats.guard`` degraded-mode
+  provenance section, published only when non-empty so unpressured
+  runs stay bit-identical to unguarded ones;
+* the harness timeout (``timeout=True``, armed by
+  :func:`~repro.analysis.runner.run_app_guarded`), which asks "has this
+  run hung?". Expiry raises :class:`~repro.errors.RunTimeoutError` and
+  nothing else is recorded, so a timed run dumps the same statistics
+  as an untimed one.
+
+Scopes nest, and a check samples every armed scope, so the earliest
+wall expiry wins whichever scope set it: a ``--timeout`` and a
+``REPRO_BUDGET_WALL`` budget on the same run are both enforced.
+
+Each check compares wall clock against the limit every time (one
 ``monotonic()`` call) and samples RSS at most every
 :data:`RSS_SAMPLE_INTERVAL_S` seconds (reading ``/proc/self/status``
-is three orders of magnitude costlier than a clock read). Crossing a
-limit raises :class:`~repro.errors.BudgetExceeded`; crossing
-:data:`PRESSURE_FRACTION` of a limit without exceeding it records a
-*pressure event*, which :meth:`Watchdog.publish` turns into the
-``stats.guard`` degraded-mode provenance section — published only when
-non-empty, so unpressured runs stay bit-identical to unguarded ones.
+is three orders of magnitude costlier than a clock read).
 """
 
 from __future__ import annotations
@@ -26,8 +41,13 @@ import contextlib
 import os
 import time
 
-from repro.errors import BudgetExceeded
+from repro.errors import BudgetExceeded, RunTimeoutError
 from repro.guard.budget import RunBudget
+
+#: How many loop iterations pass between two :func:`check_watchdog`
+#: calls. At the simulator's typical tens of thousands of accesses per
+#: second this bounds the detection latency to well under a second.
+CHECK_STRIDE = 1024
 
 #: Minimum wall-clock seconds between two RSS samples.
 RSS_SAMPLE_INTERVAL_S = 0.25
@@ -67,10 +87,24 @@ def process_rss_mb(pid: "int | str" = "self") -> "float | None":
 
 
 class Watchdog:
-    """Samples wall clock and RSS against one :class:`RunBudget`."""
+    """Samples wall clock and RSS against one :class:`RunBudget`.
 
-    def __init__(self, budget: RunBudget, now: "float | None" = None) -> None:
+    With ``timeout`` the budget's ``wall_s`` is the harness timeout: it
+    raises :class:`RunTimeoutError` and records no pressure. ``parent``
+    is the enclosing scope's watchdog, sampled first by each check.
+    """
+
+    def __init__(
+        self,
+        budget: RunBudget,
+        now: "float | None" = None,
+        *,
+        timeout: bool = False,
+        parent: "Watchdog | None" = None,
+    ) -> None:
         self.budget = budget
+        self.timeout = timeout
+        self.parent = parent
         self.started = time.monotonic() if now is None else now
         self.checks = 0
         self.rss_samples = 0
@@ -88,13 +122,23 @@ class Watchdog:
         self._pressured.add(resource)
 
     def check(self) -> None:
-        """One cooperative sample; raises :class:`BudgetExceeded`."""
+        """One cooperative sample of every armed scope.
+
+        Raises :class:`BudgetExceeded`, or :class:`RunTimeoutError` for
+        an expired harness timeout.
+        """
+        if self.parent is not None:
+            self.parent.check()
         self.checks += 1
         now = time.monotonic()
         budget = self.budget
         if budget.wall_s is not None:
             elapsed = now - self.started
             if elapsed > budget.wall_s:
+                if self.timeout:
+                    raise RunTimeoutError(
+                        f"run exceeded {budget.wall_s:g}s wall-clock limit"
+                    )
                 raise BudgetExceeded(
                     f"run exceeded its {budget.wall_s:g}s wall-clock budget "
                     f"(elapsed {elapsed:.1f}s)",
@@ -104,6 +148,7 @@ class Watchdog:
                 )
             if (
                 elapsed > budget.wall_s * PRESSURE_FRACTION
+                and not self.timeout
                 and "wall" not in self._pressured
             ):
                 self._pressure("wall", elapsed, budget.wall_s)
@@ -156,28 +201,28 @@ class Watchdog:
         }
 
 
-#: The armed watchdog consulted by :func:`check_watchdog`; one per
-#: process, mirroring the single armed deadline of
-#: :mod:`repro.sim.deadline`.
+#: The innermost armed watchdog consulted by :func:`check_watchdog`;
+#: one per process.
 _ACTIVE: "Watchdog | None" = None
 
 
 @contextlib.contextmanager
-def guard_scope(budget: "RunBudget | None"):
+def guard_scope(budget: "RunBudget | None", *, timeout: bool = False):
     """Arm a :class:`Watchdog` over ``budget`` for the ``with`` body.
 
     A None or unarmed budget (no wall/RSS limit) arms nothing and
     yields None; :func:`check_watchdog` stays a single global read.
-    Scopes restore the previous watchdog on exit, so they nest — the
-    innermost armed budget wins, which is what a soak harness wrapping
-    an already-budgeted run expects.
+    ``timeout`` makes the wall limit the harness timeout (see the
+    module docstring). Scopes restore the previous watchdog on exit and
+    each check samples every enclosing scope too, so nested limits are
+    all enforced and the earliest expiry trips first.
     """
     global _ACTIVE
     if budget is None or not budget.armed:
         yield None
         return
     previous = _ACTIVE
-    watchdog = Watchdog(budget)
+    watchdog = Watchdog(budget, timeout=timeout, parent=previous)
     _ACTIVE = watchdog
     try:
         yield watchdog
@@ -186,7 +231,7 @@ def guard_scope(budget: "RunBudget | None"):
 
 
 def check_watchdog() -> None:
-    """Sample the armed watchdog, if any (engine-loop hook)."""
+    """Sample the armed watchdogs, if any (the stride-site hook)."""
     if _ACTIVE is not None:
         _ACTIVE.check()
 

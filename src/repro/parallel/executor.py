@@ -7,9 +7,9 @@ completed point through the crash-safe result cache
 its runs precomputed. The harness semantics of
 :func:`~repro.analysis.runner.run_app_guarded` are preserved per worker:
 
-* **timeout** — enforced with the cooperative deadline of
-  :mod:`repro.sim.deadline` (``SIGALRM`` would not survive in a pool
-  worker, where tasks never run on a fresh main thread's signal state);
+* **timeout** — enforced by the cooperative :mod:`repro.guard.watchdog`
+  (``SIGALRM`` would not survive in a pool worker, where tasks never
+  run on a fresh main thread's signal state);
 * **retries** — each worker retries its point up to
   ``policy.max_retries`` extra times before reporting a failure;
 * **keep-going** — worker failures come back as data

@@ -26,7 +26,7 @@ class SupervisorPolicy:
     is what distinguishes a hung worker from a merely slow sweep. The
     default (None) never trips — per-run timeouts are the
     :class:`~repro.analysis.runner.HarnessPolicy`'s job; the heartbeat
-    exists for workers stuck outside the cooperative deadline's reach.
+    exists for workers stuck outside the cooperative watchdog's reach.
     """
 
     #: Progress deadline in seconds; None disables hang detection.

@@ -27,13 +27,10 @@ same point instead of aborting — the next heap pop continues exactly
 where the violation was caught. Recovery costs are published to the
 statistics' recovery section after finalize.
 
-The loop also honours the harness deadline
-(:mod:`repro.sim.deadline`): every ``CHECK_STRIDE`` accesses it checks
-the armed wall-clock limit and raises
-:class:`~repro.errors.RunTimeoutError` once exceeded, which is what
-makes per-run timeouts work inside process-pool workers. The same
-stride samples the :mod:`repro.guard` resource watchdog, so an armed
-``RunBudget`` (wall clock, peak RSS) raises a structured
+Every ``CHECK_STRIDE`` accesses the loop samples the
+:mod:`repro.guard.watchdog`, so the harness timeout raises
+:class:`~repro.errors.RunTimeoutError` and an armed ``RunBudget`` (wall
+clock, peak RSS) raises a structured
 :class:`~repro.errors.BudgetExceeded` within one stride of the limit
 being crossed — in any lane, on any platform, in any worker.
 
@@ -52,8 +49,7 @@ from __future__ import annotations
 import heapq
 
 from repro.errors import InvariantViolation, ProtocolError, TraceError
-from repro.guard.watchdog import check_watchdog
-from repro.sim.deadline import CHECK_STRIDE, check_deadline
+from repro.guard.watchdog import CHECK_STRIDE, check_watchdog
 from repro.sim.stats import SimStats
 from repro.sim.system import System
 from repro.telemetry import fan_out
@@ -180,7 +176,6 @@ class TraceEngine:
                 finish = done
             processed += 1
             if processed % CHECK_STRIDE == 0:
-                check_deadline()
                 check_watchdog()
             if auditor is not None and processed % auditor.interval == 0:
                 self._audit(system)
@@ -343,7 +338,6 @@ class TraceEngine:
                 finish = done
             processed += 1
             if processed % CHECK_STRIDE == 0:
-                check_deadline()
                 check_watchdog()
             if warmup_left and processed == warmup_left:
                 # stats.reset() zeroes every counter, so the batch is

@@ -52,11 +52,11 @@ from repro.errors import (
     ProtocolError,
     TraceError,
 )
+from repro.guard.watchdog import CHECK_STRIDE, check_watchdog
 from repro.parallel import run_tasks
 from repro.resilience.auditor import ProtocolAuditor
 from repro.resilience.faults import Fault, FaultInjector, FaultKind, FaultPlan
 from repro.sim.config import SystemConfig
-from repro.sim.deadline import CHECK_STRIDE, check_deadline
 from repro.sim.engine import run_trace
 from repro.sim.system import System
 from repro.verify.oracle import ValueOracle
@@ -244,7 +244,7 @@ def run_monitored(
             executed[core] += 1
             oracle.observe(system, acc.core, acc.addr, acc.kind, pre_state)
             if processed % CHECK_STRIDE == 0:
-                check_deadline()
+                check_watchdog()
             if processed % auditor.interval == 0:
                 auditor.audit(system)
             index += 1

@@ -29,9 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import ConfigError, TraceError
+from repro.guard.watchdog import CHECK_STRIDE, check_watchdog
 from repro.sim.config import SystemConfig
-from repro.sim.deadline import CHECK_STRIDE as _DEADLINE_STRIDE
-from repro.sim.deadline import check_deadline
 from repro.types import Access, AccessKind
 from repro.workloads.profiles import WorkloadProfile
 
@@ -253,8 +252,8 @@ class SyntheticTraceGenerator:
         ifetch_list = is_ifetch.tolist()
         gap_list = gaps.tolist()
         for i in range(n):
-            if i % _DEADLINE_STRIDE == 0:
-                check_deadline()
+            if i % CHECK_STRIDE == 0:
+                check_watchdog()
             c = core_list[i]
             if region_list[i] == _REGION_STREAM:
                 a = _STREAM_BASE + c * _STREAM_SPAN + stream_cursor[c]

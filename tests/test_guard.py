@@ -25,7 +25,12 @@ from repro.analysis.runner import (
     run_app,
     run_app_guarded,
 )
-from repro.errors import ArtifactWriteError, BudgetExceeded, ShutdownRequested
+from repro.errors import (
+    ArtifactWriteError,
+    BudgetExceeded,
+    RunTimeoutError,
+    ShutdownRequested,
+)
 from repro.guard import (
     DEFAULT_MIN_FREE_MB,
     EXIT_INTERRUPTED,
@@ -202,6 +207,25 @@ class TestWatchdog:
             assert active_watchdog() is outer
         assert active_watchdog() is None
 
+    def test_nested_scopes_keep_the_earliest_expiry(self):
+        with guard_scope(RunBudget(wall_s=0.001)):
+            time.sleep(0.01)
+            with guard_scope(RunBudget(wall_s=3600.0)):
+                with pytest.raises(BudgetExceeded) as excinfo:
+                    check_watchdog()
+        assert excinfo.value.limit == 0.001
+
+    def test_timeout_raises_runtimeout_and_records_no_pressure(self):
+        watchdog = Watchdog(
+            RunBudget(wall_s=100.0), now=time.monotonic() - 85.0,
+            timeout=True,
+        )
+        watchdog.check()
+        assert watchdog.pressure_events == []
+        watchdog.started -= 20.0
+        with pytest.raises(RunTimeoutError):
+            watchdog.check()
+
     def test_run_app_trips_mid_run(self, monkeypatch):
         monkeypatch.setenv("REPRO_BUDGET_WALL", "0.005")
         with pytest.raises(BudgetExceeded) as excinfo:
@@ -216,6 +240,62 @@ class TestWatchdog:
         assert result.meta["failed"]
         assert len(policy.failures) == 1
         assert "BudgetExceeded" in policy.failures[0].error
+
+
+class TestEveryStrideSiteIsGuarded:
+    """Generation and ``repro diff``'s monitored loop sample budgets too."""
+
+    def test_generation_trips_rss_budget(self):
+        from repro.workloads.generator import clear_trace_cache, generate_streams
+
+        clear_trace_cache()
+        config = SCALE.make_config(SPEC)
+        with guard_scope(RunBudget(rss_mb=16)):
+            with pytest.raises(BudgetExceeded) as excinfo:
+                generate_streams("barnes", config, SCALE.total_accesses)
+        assert excinfo.value.resource == "rss"
+
+    def test_monitored_run_trips_rss_budget(self):
+        from repro.verify.differential import run_monitored
+        from repro.workloads.generator import generate_streams
+
+        streams = generate_streams(
+            "barnes", SCALE.make_config(SPEC), SCALE.total_accesses
+        )
+        with guard_scope(RunBudget(rss_mb=16)):
+            with pytest.raises(BudgetExceeded) as excinfo:
+                run_monitored("tiny", SPEC, streams)
+        assert excinfo.value.resource == "rss"
+
+
+class TestTimeoutNestedWithWallBudget:
+    LONG = RunScale(num_cores=8, total_accesses=200_000)
+
+    def test_timeout_under_generous_budget(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BUDGET_WALL", "3600")
+        with pytest.raises(RunTimeoutError):
+            run_app_guarded(
+                "barnes", SparseSpec(ratio=2.0), self.LONG,
+                policy=HarnessPolicy(timeout_s=0.2),
+            )
+        assert active_watchdog() is None
+
+    def test_budget_under_generous_timeout(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BUDGET_WALL", "0.005")
+        with pytest.raises(BudgetExceeded) as excinfo:
+            run_app_guarded(
+                "barnes", SparseSpec(ratio=2.0), self.LONG,
+                policy=HarnessPolicy(timeout_s=600),
+            )
+        assert excinfo.value.resource == "wall"
+
+    def test_timed_run_is_bit_identical(self):
+        baseline = run_app("barnes", SPEC, SCALE)
+        timed = run_app_guarded(
+            "barnes", SPEC, SCALE, policy=HarnessPolicy(timeout_s=600)
+        )
+        assert timed.stats.guard == {}
+        assert timed.stats.dump() == baseline.stats.dump()
 
 
 class TestGuardIdleBitIdentity:
@@ -655,7 +735,20 @@ class TestSoakCli:
         assert not args.scenario
         assert set(SCENARIOS) == {
             "wall_budget", "disk_quota", "rss_throttle", "interrupt",
+            "recovery", "worker_kill",
         }
+
+    def test_quick_plan_runs_every_scenario_once_in_order(self):
+        import random
+
+        from repro.guard.soak import SCENARIOS, _round_plan
+
+        rng = random.Random(7)
+        assert _round_plan(SCENARIOS, 2, True, rng) == list(SCENARIOS)
+        subset = ("interrupt", "recovery")
+        assert _round_plan(subset, 4, True, rng) == list(subset)
+        drawn = _round_plan(SCENARIOS, 5, False, rng)
+        assert len(drawn) == 5 and set(drawn) <= set(SCENARIOS)
 
     def test_parser_rejects_unknown_scenario(self, capsys):
         from repro.guard.soak import build_parser

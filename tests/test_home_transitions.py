@@ -10,6 +10,7 @@ raises :class:`~repro.errors.InvariantViolation` naming that core.
 import pytest
 
 from conftest import Driver, make_system
+from repro.directory.mgd import BLOCKS_PER_REGION
 from repro.errors import InvariantViolation
 from repro.sim.config import InLLCSpec, MgdSpec, SparseSpec, StashSpec, TinySpec
 from repro.types import PrivateState
@@ -131,3 +132,62 @@ class TestStaleHolderOnBackInvalidation:
         assert d.system.stats.back_invalidations == before + 1
         assert d.state(0, 0x40) is PrivateState.INVALID
         d.system.check_invariants()
+
+
+@pytest.mark.parametrize("spec", SCHEMES, ids=lambda s: s.name)
+@pytest.mark.parametrize("prior", [PrivateState.EXCLUSIVE, PrivateState.MODIFIED])
+def test_write_forwarded_to_owner_reports_its_invalidation(spec, prior):
+    d = Driver(make_system(spec))
+    if prior is PrivateState.MODIFIED:
+        d.write(0, 0x40)
+    else:
+        d.read(0, 0x40)
+    assert d.state(0, 0x40) is prior
+    recorder = Recorder()
+    d.system.home.observer = recorder
+    d.write(1, 0x40)
+    assert d.state(0, 0x40) is PrivateState.INVALID
+    assert recorder.invalidations() == [(f"inval:{prior.value}->I", 0, 0x40)]
+
+
+def _region_blocks(count: int) -> "list[list[int]]":
+    """Two blocks in each of ``count`` regions, on distinct private sets."""
+    return [
+        [BLOCKS_PER_REGION * (8 + i) + i % 8, BLOCKS_PER_REGION * (8 + i) + i % 8 + 8]
+        for i in range(count)
+    ]
+
+
+class TestMgdRegionBackInvalidation:
+    def test_evicted_region_reports_each_block(self):
+        d = Driver(make_system(MgdSpec(ratio=1 / 16)))
+        recorder = Recorder()
+        d.system.home.observer = recorder
+        blocks = _region_blocks(6)
+        for pair in blocks:
+            for addr in pair:
+                d.read(0, addr)
+        assert ("mgd:evict_region", None, None) in recorder.events
+        dropped = [
+            addr for pair in blocks for addr in pair
+            if d.state(0, addr) is PrivateState.INVALID
+        ]
+        assert dropped
+        assert sorted(recorder.invalidations()) == [
+            ("inval:E->I", 0, addr) for addr in sorted(dropped)
+        ]
+        d.system.check_invariants()
+
+    def test_presence_bit_without_copy_raises(self):
+        d = Driver(make_system(MgdSpec(ratio=1 / 16)))
+        blocks = _region_blocks(8)
+        stale = blocks[0][1]
+        for addr in blocks[0]:
+            d.read(0, addr)
+        d.system.cores[0].invalidate(stale)  # behind the protocol's back
+        with pytest.raises(InvariantViolation) as caught:
+            for pair in blocks[1:]:
+                for addr in pair:
+                    d.read(0, addr)
+        assert caught.value.addr == stale
+        assert caught.value.cores == (0,)
